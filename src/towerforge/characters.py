@@ -1,14 +1,21 @@
 """Dirichlet characters of prime-power modulus and relative class numbers.
 
 The relative class number h^- of the cyclotomic field of conductor q = p^m is
-recomputed from scratch two independent ways:
+recomputed from scratch two independent ways, both in integers only:
 
 * product formula: h^- = Q * w * prod_{chi odd} (-B(chi)/2), where
   B(chi) = (1/q) sum_a chi(a) a over units a mod q, w is the number of roots
   of unity in the field (q for even q, 2q for odd q) and the unit index Q is 1
   for prime-power conductor. The product is grouped into Galois orbits of
-  characters; each orbit contributes the norm of one representative's factor,
-  so the heavy arithmetic happens in the small field Q(zeta_ord(chi)).
+  characters, one representative each, enumerated from the structure of the
+  unit group. A representative of order d has the integer weight polynomial
+  W = sum_a a x^{k(a)} mod Phi_d, where chi(a) = zeta_d^{k(a)}, so qB(chi) =
+  W(zeta_d) and the orbit contributes N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d).
+  W is divided by its content c before the resultant, and c^phi(d) is
+  multiplied back: the content carries a factor of p, and leaving it in the
+  W rows of the Sylvester matrix makes the determinant much slower. Since the
+  phi(d) add up to phi(q)/2, h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact
+  integer division.
 
 * determinant oracle: no characters at all. Over a half-system a_1..a_n of
   units mod q (one from each pair {a, -a}), the matrix with entries
@@ -18,19 +25,19 @@ recomputed from scratch two independent ways:
   makes the eigenvalue B(chi)/2, hence h^- = Q * w * |det|. The implementation
   scales entries to the integers 2R(a_i a_j^-1) - q and divides (2q)^n back out.
 
-Character values are held as exponents on fixed generators and only
-materialized into cyclotomic elements inside the B(chi) sums.
+Character values are held as exponents on fixed generators; each character
+carries the unit-group structure they refer to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 
 from .arith import FactoredInteger, euler_phi, factorize, is_prime
-from .cyclotomic import CycloElement, _poly_divmod_monic, cyclo_norm, cyclo_poly, integer_det
+from .cyclotomic import CycloElement, _poly_divmod_monic, cyclo_poly, integer_det, resultant
 from .errors import BudgetExceededError, IntegralityError
 
 
@@ -43,9 +50,6 @@ class _UnitGroup:
     orders: tuple[int, ...]
     exponent: int
     dlog: dict[int, tuple[int, ...]]
-
-
-_group_cache: dict[int, _UnitGroup] = {}
 
 
 def _primitive_root(p: int, m: int) -> int:
@@ -62,9 +66,6 @@ def _primitive_root(p: int, m: int) -> int:
 
 
 def _unit_group(q: int, p: int, m: int) -> _UnitGroup:
-    cached = _group_cache.get(q)
-    if cached is not None:
-        return cached
     if p == 2:
         # (Z/4)^* is cyclic on -1; for 2^m, m >= 3, fix the generators -1 and 5.
         if m == 2:
@@ -80,9 +81,7 @@ def _unit_group(q: int, p: int, m: int) -> _UnitGroup:
             a = a * pow(g, e, q) % q
         dlog[a] = exps
     assert len(dlog) == euler_phi(q)
-    group = _UnitGroup(q, gens, orders, lcm(*orders), dlog)
-    _group_cache[q] = group
-    return group
+    return _UnitGroup(q, gens, orders, lcm(*orders), dlog)
 
 
 def _validated_conductor(p: int, m: int) -> int:
@@ -102,27 +101,23 @@ class DirichletCharacter:
 
     chi(g_i) = zeta_{s_i}^{generator_images[i]} where s_i is the order of the
     i-th generator. ``order`` is the order of chi in the character group and
-    ``parity`` is chi(-1) in {+1, -1}.
+    ``parity`` is chi(-1) in {+1, -1}. ``group`` is the unit-group structure
+    the images refer to; it travels with the character, pickling included.
     """
 
     modulus: int
     generator_images: tuple[int, ...]
     order: int
     parity: int
+    group: _UnitGroup = field(compare=False, repr=False)
 
     @property
     def is_odd(self) -> bool:
         return self.parity == -1
 
-    def _group(self) -> _UnitGroup:
-        group = _group_cache.get(self.modulus)
-        if group is None:
-            raise ValueError(f"no unit-group structure for modulus {self.modulus}")
-        return group
-
     def value_exponent(self, a: int) -> int:
         """Exponent k with chi(a) = zeta_order^k, for a coprime to the modulus."""
-        group = self._group()
+        group = self.group
         exps = group.dlog.get(a % self.modulus)
         if exps is None:
             raise ValueError(f"{a} is not a unit mod {self.modulus}")
@@ -136,9 +131,8 @@ class DirichletCharacter:
         return num // big
 
     def __pow__(self, t: int) -> "DirichletCharacter":
-        group = self._group()
-        images = tuple(k * t % s for k, s in zip(self.generator_images, group.orders))
-        return _make_character(group, images)
+        images = tuple(k * t % s for k, s in zip(self.generator_images, self.group.orders))
+        return _make_character(self.group, images)
 
 
 def _make_character(group: _UnitGroup, images: tuple[int, ...]) -> DirichletCharacter:
@@ -150,7 +144,7 @@ def _make_character(group: _UnitGroup, images: tuple[int, ...]) -> DirichletChar
     t = sum(x * k * (big // s) for x, k, s in zip(minus_one, images, group.orders)) % big
     assert t in (0, big // 2)
     parity = 1 if t == 0 else -1
-    return DirichletCharacter(group.modulus, images, order, parity)
+    return DirichletCharacter(group.modulus, images, order, parity, group)
 
 
 def characters_mod(p: int, m: int) -> list[DirichletCharacter]:
@@ -165,6 +159,14 @@ def characters_mod(p: int, m: int) -> list[DirichletCharacter]:
     return chars
 
 
+def _weights(chi: DirichletCharacter) -> list[int]:
+    """W = sum_{a unit mod q} a x^{k(a)} mod Phi_d, where chi(a) = zeta_d^{k(a)}."""
+    weights = [0] * chi.order
+    for a in chi.group.dlog:
+        weights[chi.value_exponent(a)] += a
+    return _poly_divmod_monic(weights, cyclo_poly(chi.order))[1]
+
+
 def gen_bernoulli_b1(chi: DirichletCharacter) -> CycloElement:
     """B(chi) = (1/q) sum_{a unit mod q} chi(a) a, as an element of Q(zeta_ord(chi)).
 
@@ -172,44 +174,55 @@ def gen_bernoulli_b1(chi: DirichletCharacter) -> CycloElement:
     character inducing chi, because the single ramified prime always divides
     the conductor of a nontrivial chi.
     """
-    group = chi._group()
-    q = chi.modulus
-    d = chi.order
-    weights = [0] * d
-    for a in group.dlog:
-        weights[chi.value_exponent(a)] += a
-    _, reduced = _poly_divmod_monic(weights, cyclo_poly(d))
-    return CycloElement(d, [Fraction(c, q) for c in reduced])
+    return CycloElement(chi.order, [Fraction(c, chi.modulus) for c in _weights(chi)])
 
 
-def _galois_orbit(chi: DirichletCharacter) -> set[tuple[int, ...]]:
-    return {
-        (chi**t).generator_images for t in range(1, chi.order + 1) if gcd(t, chi.order) == 1
-    }
+def _odd_orbit_representatives(group: _UnitGroup) -> list[tuple[int, ...]]:
+    """Generator images of one odd character from each Galois orbit.
+
+    Cyclic group of order s: chi_k(g) = zeta_s^k is odd iff k is odd, and its
+    orbit is fixed by gcd(k, s), so the odd divisors k of s represent the odd
+    orbits. 2^m with m >= 3, on the generators (-1, 5): chi is odd iff its image
+    on -1 is 1, and the orbit of (1, b) is fixed by the 2-adic valuation of b
+    (or b = 0). Each representative is the lexicographically smallest member of
+    its orbit.
+    """
+    if len(group.orders) == 1:
+        (s,) = group.orders
+        return [(k,) for k in range(1, s, 2) if s % k == 0]
+    _, s = group.orders
+    return [(1, 0)] + [(1, 2**j) for j in range(s.bit_length() - 1)]
+
+
+def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> int:
+    """w * numerator / denominator, which must be a positive integer."""
+    w = q if q % 2 == 0 else 2 * q
+    value, remainder = divmod(w * numerator, denominator)
+    if remainder or value <= 0:
+        raise IntegralityError(
+            f"{route} for conductor {q} is not a positive integer: {w * numerator}/{denominator}"
+        )
+    return value
 
 
 def hminus_product(p: int, m: int) -> int:
-    """h^-(conductor p^m) by the odd-character product, assembled orbit by orbit."""
+    """h^-(conductor p^m) by the odd-character product, one resultant per orbit."""
     q = _validated_conductor(p, m)
-    odd = [chi for chi in characters_mod(p, m) if chi.is_odd]
-    visited: set[tuple[int, ...]] = set()
-    total = Fraction(1)
-    for chi in odd:
-        # lexicographic iteration makes the first unvisited member the
-        # lexicographically smallest representative of its orbit
-        if chi.generator_images in visited:
-            continue
-        orbit = _galois_orbit(chi)
-        assert len(orbit) == euler_phi(chi.order)
-        visited |= orbit
-        factor = gen_bernoulli_b1(chi) * Fraction(-1, 2)
-        total *= cyclo_norm(factor)
-    assert visited == {chi.generator_images for chi in odd}
-    w = q if q % 2 == 0 else 2 * q
-    value = total * w
-    if value.denominator != 1 or value <= 0:
-        raise IntegralityError(f"odd-character product for conductor {q} is not a positive integer: {value}")
-    return int(value)
+    group = _unit_group(q, p, m)
+    half = len(group.dlog) // 2
+    total = 1
+    covered = 0
+    for images in _odd_orbit_representatives(group):
+        chi = _make_character(group, images)
+        assert chi.is_odd
+        phi = cyclo_poly(chi.order)
+        degree = len(phi) - 1
+        weights = _weights(chi)
+        content = gcd(*weights)
+        total *= content**degree * resultant(phi, [c // content for c in weights])
+        covered += degree
+    assert covered == half
+    return _positive_quotient(q, total, (-2 * q) ** half, "odd-character product")
 
 
 def hminus_determinant(p: int, m: int, *, bound: int = 200) -> int:
@@ -218,15 +231,10 @@ def hminus_determinant(p: int, m: int, *, bound: int = 200) -> int:
     if q > bound:
         raise BudgetExceededError(f"determinant oracle bound {bound} exceeded by conductor {q}")
     half = [a for a in range(1, (q + 1) // 2) if gcd(a, q) == 1]
-    n = len(half)
     inverses = {a: pow(a, -1, q) for a in half}
     matrix = [[2 * (a * inverses[b] % q) - q for b in half] for a in half]
     det = integer_det(matrix)
-    w = q if q % 2 == 0 else 2 * q
-    value = Fraction(w * abs(det), (2 * q) ** n)
-    if value.denominator != 1 or value <= 0:
-        raise IntegralityError(f"determinant for conductor {q} is not a positive integer: {value}")
-    return int(value)
+    return _positive_quotient(q, abs(det), (2 * q) ** len(half), "determinant")
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from math import comb, gcd
+from math import comb
 
-from .arith import euler_phi
-from .cyclotomic import cyclo_poly
+from .cyclotomic import _poly_divmod_monic, _poly_mul, cyclo_poly
 from .errors import CofactorError, PrecisionError
 
 
@@ -55,11 +54,12 @@ class LocalCycloElement:
     def __init__(self, p: int, m: int, precision: int, coeffs) -> None:
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        e = euler_phi(p**m)
+        phi = cyclo_poly(p**m)
+        e = len(phi) - 1
         pn = p**precision
         c = [int(x) for x in coeffs]
         if len(c) > e:
-            c = _reduce_mod_cyclo(c, p, m)
+            _, c = _poly_divmod_monic(c, phi)
         c = [x % pn for x in c]
         c += [0] * (e - len(c))
         object.__setattr__(self, "p", p)
@@ -110,12 +110,7 @@ class LocalCycloElement:
     def __mul__(self, other: "LocalCycloElement") -> "LocalCycloElement":
         self._check_compatible(other)
         prec = min(self.precision, other.precision)
-        prod = [0] * (2 * self.e - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        return self._like(prod, prec)
+        return self._like(_poly_mul(self.coeffs, other.coeffs), prec)
 
     def __pow__(self, k: int) -> "LocalCycloElement":
         if k < 0:
@@ -154,20 +149,6 @@ class LocalCycloElement:
         return self._like(self.coeffs, precision)
 
 
-def _reduce_mod_cyclo(coeffs: list[int], p: int, m: int) -> list[int]:
-    phi = cyclo_poly(p**m)
-    dd = len(phi) - 1
-    num = list(coeffs)
-    while num and len(num) - 1 >= dd:
-        c = num[-1]
-        k = len(num) - 1 - dd
-        for i in range(dd + 1):
-            num[k + i] -= c * phi[i]
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
 def pi_valuation(element: LocalCycloElement) -> int | AtCap:
     """Exact pi-adic valuation, or AT_CAP when the precision cannot resolve it.
 
@@ -197,16 +178,13 @@ def pi_valuation(element: LocalCycloElement) -> int | AtCap:
 
 
 def _pi_cofactor(p: int, m: int, precision: int) -> LocalCycloElement:
-    """The element b with pi * b = p: the product of 1 - zeta^k over units k != 1."""
-    q = p**m
-    acc = LocalCycloElement.from_int(1, p, m, precision)
-    for k in range(2, q):
-        if gcd(k, q) == 1:
-            term = [0] * (k + 1)
-            term[0] = 1
-            term[k] = -1
-            acc = acc * LocalCycloElement(p, m, precision, term)
-    return acc
+    """The element b with pi * b = p, in closed form.
+
+    With Phi_{p^m} = sum_i a_i x^i, p = Phi(1) - Phi(zeta) = sum_i a_i (1 - zeta^i)
+    = (1 - zeta) * sum_j b_j zeta^j, where b_j = sum_{i > j} a_i.
+    """
+    phi = cyclo_poly(p**m)
+    return LocalCycloElement(p, m, precision, [sum(phi[j + 1 :]) for j in range(len(phi) - 1)])
 
 
 def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:

@@ -9,6 +9,7 @@ a cached line fails hard rather than trusting it.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
@@ -71,8 +72,11 @@ class CacheEntry:
 class HminusCache:
     """Append-only JSONL cache of factored relative class numbers.
 
-    Later lines win on re-read. A torn trailing line (an append still in
-    flight) is tolerated; any other malformed line is an error.
+    Later lines win on re-read. A torn line (an append still in flight, or
+    one cut short by a crash) is tolerated; any other malformed line is an
+    error. A torn line is the trailing line, or a line that opens a JSON
+    object and does not decode: ``store`` starts a fresh line after a torn
+    tail, so the remains of a crashed append never swallow a new entry.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -88,8 +92,9 @@ class HminusCache:
                 continue
             try:
                 entry = CacheEntry.from_json_line(line)
-            except (json.JSONDecodeError, KeyError, ValueError):
-                if i == len(lines) - 1:
+            except (KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+                torn = isinstance(exc, json.JSONDecodeError) and line.startswith("{")
+                if torn or i == len(lines) - 1:
                     continue
                 raise ValueError(f"malformed cache line {i + 1} in {self.path}")
             entries[entry.conductor] = entry
@@ -99,8 +104,14 @@ class HminusCache:
         return self.load().get(conductor)
 
     def store(self, entry: CacheEntry) -> None:
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(entry.to_json_line() + "\n")
+        line = entry.to_json_line().encode("utf-8") + b"\n"
+        with self.path.open("a+b") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size:
+                handle.seek(size - 1)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
 
 
 def _now() -> str:

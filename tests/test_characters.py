@@ -1,13 +1,18 @@
 """Dirichlet characters, generalized Bernoulli values, relative class numbers."""
 
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_cli import cli_env
 
 from towerforge.arith import euler_phi
 from towerforge.characters import (
+    _odd_orbit_representatives,
     characters_mod,
     gen_bernoulli_b1,
     hminus_determinant,
@@ -94,6 +99,35 @@ class TestCharactersMod:
         for chi in characters_mod(5, 1):
             assert (chi**1) == chi
             assert (chi ** (chi.order + 1)) == chi
+
+    def test_odd_orbit_representatives_partition_the_odd_characters(self):
+        cases = [(2, m) for m in range(2, 9)] + [(3, m) for m in range(1, 5)]
+        cases += [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (23, 1), (29, 1), (31, 1)]
+        for p, m in cases:
+            chars = characters_mod(p, m)
+            by_images = {chi.generator_images: chi for chi in chars}
+            covered = []
+            for images in _odd_orbit_representatives(chars[0].group):
+                chi = by_images[images]
+                covered += [
+                    (chi**t).generator_images
+                    for t in range(1, chi.order + 1)
+                    if gcd(t, chi.order) == 1
+                ]
+            assert sorted(covered) == [chi.generator_images for chi in chars if chi.is_odd]
+
+    def test_pickled_character_works_in_a_fresh_process(self, tmp_path):
+        chi = next(c for c in characters_mod(5, 1) if c.is_odd)
+        child = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys; "
+             "print(pickle.load(sys.stdin.buffer).value_exponent(2))"],
+            input=pickle.dumps(chi),
+            capture_output=True,
+            env=cli_env(tmp_path),
+            cwd=tmp_path,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        assert int(child.stdout) == chi.value_exponent(2)
 
 
 class TestGenBernoulli:

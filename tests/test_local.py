@@ -9,6 +9,7 @@ from towerforge.local import (
     AT_CAP,
     KummerClass,
     LocalCycloElement,
+    _pi_cofactor,
     check_kummer_class_invariance,
     divide_by_pi,
     kappa,
@@ -60,10 +61,11 @@ class TestPiValuation:
 
 class TestDivideByPi:
     def test_total_ramification_witness(self):
-        for p, m in ((2, 2), (3, 1), (3, 2)):
+        for p, m in ((2, 2), (3, 1), (3, 2), (2, 1), (2, 3), (5, 1), (7, 1)):
             e = LocalCycloElement.pi(p, m, 8).e
             p_elem = LocalCycloElement.from_int(p, p, m, 8)
             pi = LocalCycloElement.pi(p, m, 8)
+            assert pi * _pi_cofactor(p, m, 8) == p_elem
             assert pi_valuation(pi**e) == pi_valuation(p_elem) == e
             unit = divide_by_pi(p_elem, e)
             assert pi_valuation(unit) == 0

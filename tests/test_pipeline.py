@@ -46,6 +46,18 @@ class TestCache:
         assert cache.lookup(128) is not None
         assert cache.lookup(81) is None
 
+    def test_store_after_torn_append_starts_a_fresh_line(self, cache):
+        first = CacheEntry(128, factorize(359057), "t0", "product-formula")
+        cache.store(first)
+        cut = CacheEntry(81, factorize(2593), "t1", "product-formula").to_json_line()
+        with cache.path.open("a") as handle:
+            handle.write(cut[: len(cut) // 2])  # an append cut short by a crash
+        second = CacheEntry(125, factorize(57708445601), "t2", "product-formula")
+        third = CacheEntry(81, factorize(2593), "t3", "product-formula")
+        cache.store(second)
+        cache.store(third)
+        assert cache.load() == {128: first, 125: second, 81: third}
+
     def test_malformed_interior_line_raises(self, cache):
         cache.path.write_text('not json\n{"conductor": 1}\n')
         with pytest.raises(ValueError):
