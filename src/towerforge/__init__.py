@@ -20,7 +20,6 @@ from .characters import (
     DirichletCharacter,
     RelClassNumber,
     characters_mod,
-    gen_bernoulli_b1,
     hminus_determinant,
     hminus_product,
     relative_class_number,
@@ -42,7 +41,7 @@ from .criteria import (
     signature_of_L,
     verify_candidate,
 )
-from .cyclotomic import CycloElement, cyclo_norm, cyclo_poly, integer_det, resultant
+from .cyclotomic import cyclo_poly, integer_det, primitive_root_product
 from .errors import (
     BudgetExceededError,
     CacheMismatchError,

@@ -9,13 +9,13 @@ recomputed from scratch two independent ways, both in integers only:
   for prime-power conductor. The product is grouped into Galois orbits of
   characters, one representative each, enumerated from the structure of the
   unit group. A representative of order d has the integer weight polynomial
-  W = sum_a a x^{k(a)} mod Phi_d, where chi(a) = zeta_d^{k(a)}, so qB(chi) =
-  W(zeta_d) and the orbit contributes N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d).
-  W is divided by its content c before the resultant, and c^phi(d) is
-  multiplied back: the content carries a factor of p, and leaving it in the
-  W rows of the Sylvester matrix makes the determinant much slower. Since the
-  phi(d) add up to phi(q)/2, h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact
-  integer division.
+  W = sum_a a x^{k(a)}, where chi(a) = zeta_d^{k(a)}, so qB(chi) = W(zeta_d)
+  and the orbit contributes N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d). The
+  kernel ``primitive_root_product`` computes Res(Phi_d, W) = prod W(zeta_d^j)
+  over j in (Z/d)^* modulo certified primes l = 1 (mod d) and recombines the
+  residues by CRT until the modulus exceeds twice the Parseval/AM-GM bound
+  (d sum w_i^2 / phi(d))^{phi(d)/2}. Since the phi(d) add up to phi(q)/2,
+  h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact integer division.
 
 * determinant oracle: no characters at all. Over a half-system a_1..a_n of
   units mod q (one from each pair {a, -a}), the matrix with entries
@@ -32,12 +32,11 @@ carries the unit-group structure they refer to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 
 from .arith import FactoredInteger, euler_phi, factorize, is_prime
-from .cyclotomic import CycloElement, _poly_divmod_monic, cyclo_poly, integer_det, resultant
+from .cyclotomic import integer_det, primitive_root_product
 from .errors import BudgetExceededError, IntegralityError
 
 
@@ -160,21 +159,11 @@ def characters_mod(p: int, m: int) -> list[DirichletCharacter]:
 
 
 def _weights(chi: DirichletCharacter) -> list[int]:
-    """W = sum_{a unit mod q} a x^{k(a)} mod Phi_d, where chi(a) = zeta_d^{k(a)}."""
+    """w_0..w_{d-1} of W = sum_{a unit mod q} a x^{k(a)}, where chi(a) = zeta_d^{k(a)}."""
     weights = [0] * chi.order
     for a in chi.group.dlog:
         weights[chi.value_exponent(a)] += a
-    return _poly_divmod_monic(weights, cyclo_poly(chi.order))[1]
-
-
-def gen_bernoulli_b1(chi: DirichletCharacter) -> CycloElement:
-    """B(chi) = (1/q) sum_{a unit mod q} chi(a) a, as an element of Q(zeta_ord(chi)).
-
-    For prime-power modulus this equals the value attached to the primitive
-    character inducing chi, because the single ramified prime always divides
-    the conductor of a nontrivial chi.
-    """
-    return CycloElement(chi.order, [Fraction(c, chi.modulus) for c in _weights(chi)])
+    return weights
 
 
 def _odd_orbit_representatives(group: _UnitGroup) -> list[tuple[int, ...]]:
@@ -206,7 +195,7 @@ def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> 
 
 
 def hminus_product(p: int, m: int) -> int:
-    """h^-(conductor p^m) by the odd-character product, one resultant per orbit."""
+    """h^-(conductor p^m) by the odd-character product, one orbit norm per orbit."""
     q = _validated_conductor(p, m)
     group = _unit_group(q, p, m)
     half = len(group.dlog) // 2
@@ -215,12 +204,8 @@ def hminus_product(p: int, m: int) -> int:
     for images in _odd_orbit_representatives(group):
         chi = _make_character(group, images)
         assert chi.is_odd
-        phi = cyclo_poly(chi.order)
-        degree = len(phi) - 1
-        weights = _weights(chi)
-        content = gcd(*weights)
-        total *= content**degree * resultant(phi, [c // content for c in weights])
-        covered += degree
+        total *= primitive_root_product(chi.order, _weights(chi))
+        covered += euler_phi(chi.order)
     assert covered == half
     return _positive_quotient(q, total, (-2 * q) ** half, "odd-character product")
 

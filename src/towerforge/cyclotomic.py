@@ -1,18 +1,18 @@
-"""Cyclotomic polynomials and exact arithmetic in Q(zeta_n).
+"""Cyclotomic polynomials and the two exact integer kernels built on them.
 
-Polynomials are dense coefficient lists, index = degree. An element of
-Q(zeta_n) is a residue mod the n-th cyclotomic polynomial with Fraction
-coefficients; all operations are exact. Norms go through an integer Sylvester
-resultant evaluated by fraction-free Bareiss elimination, so no rational
-arithmetic ever enters the elimination itself.
+Polynomials are dense integer coefficient lists, index = degree. The kernels
+are ``integer_det``, a fraction-free Bareiss determinant (it serves the h^-
+determinant oracle), and ``primitive_root_product``, the norm of W(zeta_d)
+computed modulo certified primes and recombined by the Chinese remainder
+theorem under a proven bound. Neither uses anything but integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from collections.abc import Iterator, Sequence
+from math import gcd
 
-from .arith import euler_phi
+from .arith import _MR_BOUND, euler_phi, factorize, is_prime
 
 
 def _trim(p: list) -> list:
@@ -105,179 +105,90 @@ def integer_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def resultant(f: list[int] | tuple[int, ...], g: list[int] | tuple[int, ...]) -> int:
-    """Resultant of two integer polynomials (Sylvester determinant).
+def _crt_primes(d: int) -> Iterator[int]:
+    """Primes l = 1 (mod d) below the deterministic Miller-Rabin bound, descending."""
+    k = (_MR_BOUND - 2) // d
+    while k > 0:
+        if is_prime(k * d + 1):
+            yield k * d + 1
+        k -= 1
 
-    For monic f this equals the product of g over the roots of f, which is
-    exactly the norm form needed here.
+
+def _dft(coeffs: list[int], powers: list[int], ell: int, radices: list[int]) -> list[int]:
+    """Values of sum_i coeffs[i] x^i at x = w^j, j = 0..n-1, modulo ell.
+
+    n = len(coeffs) = prod(radices), and powers[j] = w^j for a w with
+    w^n = 1. Mixed-radix decimation in time: with r = radices[0] and m = n/r,
+    the polynomial is sum_s x^s P_s(x^r) with P_s(y) = sum_t coeffs[s + rt] y^t,
+    and (w^r)^m = 1, so each P_s is a transform of length m.
     """
-    f = _trim(list(f))
-    g = _trim(list(g))
-    if not f or not g:
-        return 0
-    m = len(f) - 1
-    n = len(g) - 1
-    if n == 0:
-        return g[0] ** m
-    if m == 0:
-        return f[0] ** n
-    size = m + n
-    rows: list[list[int]] = []
-    frev = f[::-1]
-    grev = g[::-1]
-    for i in range(n):
-        rows.append([0] * i + frev + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + grev + [0] * (size - n - 1 - i))
-    return integer_det(rows)
+    n = len(coeffs)
+    if n == 1:
+        return coeffs
+    r = radices[0]
+    inner = powers[::r]
+    parts = [_dft(coeffs[s::r], inner, ell, radices[1:]) for s in range(r)]
+    values = parts[0] * r
+    for s in range(1, r):
+        twiddles = (powers * s)[::s]  # w^(s j mod n)
+        values = [v + t * x for v, t, x in zip(values, twiddles, parts[s] * r)]
+    return [v % ell for v in values]
 
 
-class CycloElement:
-    """Element of Q(zeta_n): a residue mod Phi_n(x) with Fraction coefficients.
+def primitive_root_product(d: int, weights: Sequence[int]) -> int:
+    """prod W(zeta_d^j) over j in (Z/d)^*, where W = sum_i weights[i] x^i; exact.
 
-    Immutable; the coefficient vector always has length phi(n). Since Phi_n is
-    irreducible over Q the residue ring is a field, so every nonzero element
-    is invertible.
+    Phi_d is monic and its roots are the primitive d-th roots of unity, so
+    this is Res(Phi_d, W), the norm N of W(zeta_d) from Q(zeta_d) to Q. As
+    zeta_d^d = 1, W may have any length: it is folded to w_0..w_{d-1} first.
+
+    Residues. Take a prime l = 1 (mod d) and omega in F_l of exact order d.
+    omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some Phi_e with
+    e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring map
+    Z[zeta_d] -> F_l. N = prod_j W(zeta_d^j) holds in Z[zeta_d], so
+    N = prod_j W(omega^j) (mod l). One mixed-radix transform mod l gives all
+    d values W(omega^j). Every l lies
+    below the deterministic Miller-Rabin bound and is certified by
+    ``is_prime``.
+
+    Bound. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)
+    = 0, so subtracting one integer c from every w_i leaves each W(zeta_d^j)
+    unchanged; c is the floor of the mean weight, or 0 when d = 1. Let
+    v_j = sum_i (w_i - c) zeta_d^(ij) for j in Z/d and S = sum_i (w_i - c)^2.
+    The orthogonality sum_j zeta_d^(j(i-k)) = d [i = k] gives Parseval's
+    identity sum_j |v_j|^2 = d S. Over the phi = phi(d) units j, AM-GM gives
+    N^2 = prod |v_j|^2 <= (sum |v_j|^2 / phi)^phi <= (d S / phi)^phi. The
+    residues are combined by the Chinese remainder theorem until the modulus
+    M has M^2 phi^phi > 4 (d S)^phi, so M > 2|N|, and N is the residue in
+    (-M/2, M/2). A zero W needs no prime at all.
     """
-
-    __slots__ = ("conductor", "coeffs")
-
-    def __init__(self, conductor: int, coeffs) -> None:
-        phi = cyclo_poly(conductor)
-        deg = len(phi) - 1
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > deg:
-            _, c = _poly_divmod_monic(c, phi)
-        c += [Fraction(0)] * (deg - len(c))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, *_):
-        raise AttributeError("CycloElement is immutable")
-
-    @classmethod
-    def zeta(cls, n: int) -> "CycloElement":
-        """The distinguished root of unity zeta_n (the class of x)."""
-        return cls(n, [0, 1])
-
-    @classmethod
-    def from_rational(cls, value, n: int) -> "CycloElement":
-        return cls(n, [Fraction(value)])
-
-    def _check_compatible(self, other: "CycloElement") -> None:
-        if self.conductor != other.conductor:
-            raise ValueError("conductor mismatch; lift explicitly first")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloElement.from_rational(other, self.conductor)
-        self._check_compatible(other)
-        return CycloElement(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloElement(self.conductor, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CycloElement) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + Fraction(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElement(self.conductor, [a * other for a in self.coeffs])
-        self._check_compatible(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CycloElement(self.conductor, prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CycloElement.from_rational(1, self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloElement.from_rational(other, self.conductor)
-        if not isinstance(other, CycloElement):
-            return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.conductor, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CycloElement({self.conductor}, {[str(c) for c in self.coeffs]})"
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
-
-    def inverse(self) -> "CycloElement":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero element of a cyclotomic field")
-        phi = [Fraction(c) for c in cyclo_poly(self.conductor)]
-        r0, r1 = phi, _trim(list(self.coeffs))
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            lead = r1[-1]
-            monic_r1 = [c / lead for c in r1]
-            q, r = _poly_divmod_monic(r0, monic_r1)
-            q = [c / lead for c in q]
-            r0, r1 = r1, _trim(r)
-            qs = _poly_mul(q, s1)
-            new_s = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs):
-                new_s[i] -= c
-            s0, s1 = s1, _trim(new_s)
-        # r1 is a nonzero constant: gcd(self, Phi) up to scaling
-        const = r1[0]
-        return CycloElement(self.conductor, [c / const for c in s1])
-
-    def lift_to(self, conductor: int) -> "CycloElement":
-        """Image under zeta_n -> zeta_N^{N/n}; requires n | N."""
-        n = self.conductor
-        if conductor % n != 0:
-            raise ValueError(f"{n} does not divide {conductor}")
-        step = conductor // n
-        lifted = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            lifted[i * step] = c
-        return CycloElement(conductor, lifted)
-
-
-def cyclo_norm(e: CycloElement) -> Fraction:
-    """Product of all Galois conjugates of e, as an exact rational.
-
-    Clears denominators, takes the resultant of the residue polynomial with
-    Phi_n, and divides the scale factor back out.
-    """
-    if e.is_zero():
-        return Fraction(0)
-    scale = lcm(*(c.denominator for c in e.coeffs))
-    ints = [int(c * scale) for c in e.coeffs]
-    phi = cyclo_poly(e.conductor)
-    deg = len(phi) - 1
-    res = resultant(list(phi), ints)
-    return Fraction(res, scale**deg)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    folded = [0] * d
+    for i, c in enumerate(weights):
+        folded[i % d] += c
+    units = [j for j in range(d) if gcd(j, d) == 1]
+    phi = len(units)
+    factors = factorize(d).factors
+    radices = [r for r, e in factors for _ in range(e)]
+    shift = sum(folded) // d if d > 1 else 0
+    limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi
+    scale = phi**phi
+    modulus, value = 1, 0
+    primes = _crt_primes(d)
+    while modulus * modulus * scale <= limit:
+        ell = next(primes)
+        g = 2  # g^((l-1)/d) has exact order d iff no g^((l-1)/r), r | d, is 1
+        while any(pow(g, (ell - 1) // r, ell) == 1 for r, _ in factors):
+            g += 1
+        omega = pow(g, (ell - 1) // d, ell)
+        powers = [1] * d
+        for j in range(1, d):
+            powers[j] = powers[j - 1] * omega % ell
+        values = _dft(folded, powers, ell, radices)
+        residue = 1
+        for j in units:
+            residue = residue * values[j] % ell
+        value += modulus * ((residue - value) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    return value - modulus if 2 * value > modulus else value

@@ -92,7 +92,10 @@ class HminusCache:
                 continue
             try:
                 entry = CacheEntry.from_json_line(line)
-            except (KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+            # a line that decodes to the wrong shape raises TypeError ([1], "x",
+            # a non-list h_minus) or OverflowError (1e400 as an integer);
+            # json.JSONDecodeError is a ValueError
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 torn = isinstance(exc, json.JSONDecodeError) and line.startswith("{")
                 if torn or i == len(lines) - 1:
                     continue

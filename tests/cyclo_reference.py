@@ -1,0 +1,207 @@
+"""Reference oracle for the h^- product route: exact Q(zeta_n) arithmetic.
+
+A Sylvester resultant evaluated with the package's Bareiss determinant, a
+field-element class with Fraction coefficients, its norm, and B(chi) as an
+element of Q(zeta_d). The package computes the orbit norms with
+``primitive_root_product`` instead; these slower, independent definitions
+stay here so the tests can check that kernel and the h^- product against
+them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from towerforge.characters import DirichletCharacter, _weights
+from towerforge.cyclotomic import _poly_divmod_monic, _poly_mul, _trim, cyclo_poly, integer_det
+
+
+def resultant(f: list[int] | tuple[int, ...], g: list[int] | tuple[int, ...]) -> int:
+    """Resultant of two integer polynomials (Sylvester determinant).
+
+    For monic f this equals the product of g over the roots of f, which is
+    exactly the norm form needed here.
+    """
+    f = _trim(list(f))
+    g = _trim(list(g))
+    if not f or not g:
+        return 0
+    m = len(f) - 1
+    n = len(g) - 1
+    if n == 0:
+        return g[0] ** m
+    if m == 0:
+        return f[0] ** n
+    size = m + n
+    rows: list[list[int]] = []
+    frev = f[::-1]
+    grev = g[::-1]
+    for i in range(n):
+        rows.append([0] * i + frev + [0] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + grev + [0] * (size - n - 1 - i))
+    return integer_det(rows)
+
+
+class CycloElement:
+    """Element of Q(zeta_n): a residue mod Phi_n(x) with Fraction coefficients.
+
+    Immutable; the coefficient vector always has length phi(n). Since Phi_n is
+    irreducible over Q the residue ring is a field, so every nonzero element
+    is invertible.
+    """
+
+    __slots__ = ("conductor", "coeffs")
+
+    def __init__(self, conductor: int, coeffs) -> None:
+        phi = cyclo_poly(conductor)
+        deg = len(phi) - 1
+        c = [Fraction(x) for x in coeffs]
+        if len(c) > deg:
+            _, c = _poly_divmod_monic(c, phi)
+        c += [Fraction(0)] * (deg - len(c))
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "coeffs", tuple(c))
+
+    def __setattr__(self, *_):
+        raise AttributeError("CycloElement is immutable")
+
+    @classmethod
+    def zeta(cls, n: int) -> "CycloElement":
+        """The distinguished root of unity zeta_n (the class of x)."""
+        return cls(n, [0, 1])
+
+    @classmethod
+    def from_rational(cls, value, n: int) -> "CycloElement":
+        return cls(n, [Fraction(value)])
+
+    def _check_compatible(self, other: "CycloElement") -> None:
+        if self.conductor != other.conductor:
+            raise ValueError("conductor mismatch; lift explicitly first")
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = CycloElement.from_rational(other, self.conductor)
+        self._check_compatible(other)
+        return CycloElement(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CycloElement(self.conductor, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, CycloElement) else -Fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + Fraction(other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CycloElement(self.conductor, [a * other for a in self.coeffs])
+        self._check_compatible(other)
+        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
+        return CycloElement(self.conductor, prod)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = CycloElement.from_rational(1, self.conductor)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = CycloElement.from_rational(other, self.conductor)
+        if not isinstance(other, CycloElement):
+            return NotImplemented
+        return self.conductor == other.conductor and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.conductor, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"CycloElement({self.conductor}, {[str(c) for c in self.coeffs]})"
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError("element is not rational")
+        return self.coeffs[0]
+
+    def inverse(self) -> "CycloElement":
+        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        if self.is_zero():
+            raise ZeroDivisionError("zero element of a cyclotomic field")
+        phi = [Fraction(c) for c in cyclo_poly(self.conductor)]
+        r0, r1 = phi, _trim(list(self.coeffs))
+        s0: list[Fraction] = []
+        s1: list[Fraction] = [Fraction(1)]
+        while len(r1) > 1:
+            lead = r1[-1]
+            monic_r1 = [c / lead for c in r1]
+            q, r = _poly_divmod_monic(r0, monic_r1)
+            q = [c / lead for c in q]
+            r0, r1 = r1, _trim(r)
+            qs = _poly_mul(q, s1)
+            new_s = [Fraction(0)] * max(len(s0), len(qs))
+            for i, c in enumerate(s0):
+                new_s[i] += c
+            for i, c in enumerate(qs):
+                new_s[i] -= c
+            s0, s1 = s1, _trim(new_s)
+        # r1 is a nonzero constant: gcd(self, Phi) up to scaling
+        const = r1[0]
+        return CycloElement(self.conductor, [c / const for c in s1])
+
+    def lift_to(self, conductor: int) -> "CycloElement":
+        """Image under zeta_n -> zeta_N^{N/n}; requires n | N."""
+        n = self.conductor
+        if conductor % n != 0:
+            raise ValueError(f"{n} does not divide {conductor}")
+        step = conductor // n
+        lifted = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for i, c in enumerate(self.coeffs):
+            lifted[i * step] = c
+        return CycloElement(conductor, lifted)
+
+
+def cyclo_norm(e: CycloElement) -> Fraction:
+    """Product of all Galois conjugates of e, as an exact rational.
+
+    Clears denominators, takes the resultant of the residue polynomial with
+    Phi_n, and divides the scale factor back out.
+    """
+    if e.is_zero():
+        return Fraction(0)
+    scale = lcm(*(c.denominator for c in e.coeffs))
+    ints = [int(c * scale) for c in e.coeffs]
+    phi = cyclo_poly(e.conductor)
+    deg = len(phi) - 1
+    res = resultant(list(phi), ints)
+    return Fraction(res, scale**deg)
+
+
+def gen_bernoulli_b1(chi: DirichletCharacter) -> CycloElement:
+    """B(chi) = (1/q) sum_{a unit mod q} chi(a) a, as an element of Q(zeta_ord(chi)).
+
+    For prime-power modulus this equals the value attached to the primitive
+    character inducing chi, because the single ramified prime always divides
+    the conductor of a nontrivial chi.
+    """
+    return CycloElement(chi.order, [Fraction(c, chi.modulus) for c in _weights(chi)])
+
+

@@ -1,27 +1,30 @@
 """Dirichlet characters, generalized Bernoulli values, relative class numbers."""
 
+import json
 import pickle
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
+from cyclo_reference import CycloElement, gen_bernoulli_b1
 from test_cli import cli_env
 
 from towerforge.arith import euler_phi
 from towerforge.characters import (
     _odd_orbit_representatives,
     characters_mod,
-    gen_bernoulli_b1,
     hminus_determinant,
     hminus_product,
     relative_class_number,
     relative_class_number_det,
 )
-from towerforge.cyclotomic import CycloElement
 from towerforge.errors import BudgetExceededError
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 class TestCharactersMod:
@@ -187,6 +190,17 @@ class TestRelativeClassNumbers:
         assert hminus_product(23, 1) == 3
         assert hminus_product(29, 1) == 8
         assert hminus_product(31, 1) == 9
+
+
+class TestLargeConductors:
+    def test_product_matches_the_benchmark_reference(self):
+        # 343-1024 in that file come from the determinant oracle; 2048 is
+        # above its bound. The file is only read.
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hminus"]
+        for q in (343, 512, 625, 729, 1024, 2048):
+            entry = reference[str(q)]
+            assert entry["p"] ** entry["m"] == q
+            assert hminus_product(entry["p"], entry["m"]) == entry["value"], q
 
 
 class TestDeterminantOracle:

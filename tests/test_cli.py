@@ -77,6 +77,15 @@ class TestHminus:
         result = run_cli(["hminus", "--p", "6", "--m", "1"], tmp_path)
         assert result.returncode == 2
 
+    def test_cache_line_of_the_wrong_shape_exits_2(self, tmp_path):
+        (tmp_path / "cache.jsonl").write_text(
+            '[1]\n{"conductor":4,"h_minus":[],"method":"product-formula","computed_at":"t"}\n'
+        )
+        result = run_cli(["hminus", "--p", "2", "--m", "2"], tmp_path)
+        assert result.returncode == 2
+        assert "malformed cache line 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestOrderRegular:
     def test_order(self, tmp_path):

@@ -1,18 +1,15 @@
-"""Cyclotomic polynomials, resultants, and exact field arithmetic."""
+"""Cyclotomic polynomials, both integer kernels, and the reference field arithmetic."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from towerforge.arith import euler_phi
-from towerforge.cyclotomic import (
-    CycloElement,
-    cyclo_norm,
-    cyclo_poly,
-    integer_det,
-    resultant,
-)
+from cyclo_reference import CycloElement, cyclo_norm, resultant
+
+from towerforge.arith import _MR_BOUND, euler_phi, is_prime
+from towerforge.cyclotomic import _crt_primes, cyclo_poly, integer_det, primitive_root_product
 
 
 def poly_mul(a, b):
@@ -104,6 +101,59 @@ class TestResultant:
             if not any(g) or not any(h):
                 continue
             assert resultant(f, poly_mul(g, h)) == resultant(f, g) * resultant(f, h)
+
+
+# Orders of the odd-orbit representatives of every conductor the benchmark
+# sweeps (2^m, m <= 11; 3^m, m <= 6; 5^m, m <= 4; 7^m, m <= 3), plus d = 2.
+SWEEP_ORBIT_ORDERS = (
+    2, 4, 6, 8, 14, 16, 18, 20, 32, 42, 54, 64, 98, 100, 128, 162, 256, 294, 486, 500, 512,
+)
+
+
+class TestPrimitiveRootProduct:
+    def test_against_sylvester_resultant(self):
+        # Full-length vectors up to d = 128; above that the Sylvester matrix
+        # of a full vector costs seconds, so W has degree 5 there.
+        rng = random.Random(47)
+        for d in SWEEP_ORBIT_ORDERS:
+            w = [rng.randrange(-9, 10) for _ in range(d if d <= 128 else 6)]
+            assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w), d
+
+    def test_vectors_longer_than_d_are_folded(self):
+        rng = random.Random(53)
+        for d in (1, 2, 3, 6, 12, 25):
+            w = [rng.randrange(-9, 10) for _ in range(2 * d + 3)]
+            assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w)
+
+    def test_hand_values(self):
+        assert primitive_root_product(1, [7]) == 7
+        assert primitive_root_product(2, [3, 1]) == 2  # W(-1)
+        assert primitive_root_product(4, [0, 1]) == 1  # i * (-i)
+        for p in (3, 5, 7, 11, 13):
+            assert primitive_root_product(p, [1, -1]) == p  # N(1 - zeta_p)
+
+    def test_zero_vector(self):
+        for d in (1, 2, 8, 500, 512):
+            assert primitive_root_product(d, [0] * d) == 0
+        assert primitive_root_product(6, []) == 0
+
+    def test_multiple_of_phi_d(self):
+        for d in (2, 6, 12, 98, 100, 512):
+            phi = list(cyclo_poly(d))
+            padded = phi + [0] * (d - len(phi))
+            assert primitive_root_product(d, padded) == 0
+            assert primitive_root_product(d, [3 * c for c in padded]) == 0
+            assert primitive_root_product(d, [5] * d) == 0  # 5(1 + x + ... + x^(d-1))
+
+    def test_crt_primes_are_certified_and_of_the_right_residue(self):
+        for d in (2, 486, 500, 512):
+            primes = list(islice(_crt_primes(d), 5))
+            assert len(set(primes)) == 5
+            assert all(ell % d == 1 and ell < _MR_BOUND and is_prime(ell) for ell in primes)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            primitive_root_product(0, [1])
 
 
 def random_element(rng, n, span=6):

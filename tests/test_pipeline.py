@@ -63,6 +63,22 @@ class TestCache:
         with pytest.raises(ValueError):
             cache.load()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '[1]',
+            '"x"',
+            '{"conductor":4,"h_minus":5,"method":"product-formula","computed_at":"t"}',
+            '{"conductor":1e400,"h_minus":[],"method":"product-formula","computed_at":"t"}',
+        ],
+        ids=["list", "string", "non-list-factors", "infinite-conductor"],
+    )
+    def test_interior_line_of_the_wrong_shape_raises(self, cache, line):
+        valid = CacheEntry(4, factorize(1), "t", "product-formula").to_json_line()
+        cache.path.write_text(f"{line}\n{valid}\n")
+        with pytest.raises(ValueError, match="malformed cache line 1 in"):
+            cache.load()
+
     def test_accelerator_path(self, cache):
         value = cached_relative_class_number(2, 7, cache)
         assert value.value == 359057
