@@ -10,6 +10,7 @@ theorem under a proven bound. Neither uses anything but integers.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import count
 from math import gcd
 
 from .arith import _MR_BOUND, euler_phi, factorize, is_prime
@@ -105,13 +106,25 @@ def integer_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+_crt_prime_cache: dict[int, list[int]] = {}
+
+
 def _crt_primes(d: int) -> Iterator[int]:
-    """Primes l = 1 (mod d) below the deterministic Miller-Rabin bound, descending."""
-    k = (_MR_BOUND - 2) // d
-    while k > 0:
-        if is_prime(k * d + 1):
-            yield k * d + 1
-        k -= 1
+    """Primes l = 1 (mod d) below the deterministic Miller-Rabin bound, descending.
+
+    The list is a pure function of d, so the primes found are memoized and a
+    later walk certifies only the primes past the end of every earlier one.
+    """
+    primes = _crt_prime_cache.setdefault(d, [])
+    for i in count():
+        if i == len(primes):
+            k = (primes[-1] - 1) // d - 1 if primes else (_MR_BOUND - 2) // d
+            while k > 0 and not is_prime(k * d + 1):
+                k -= 1
+            if k <= 0:
+                return
+            primes.append(k * d + 1)
+        yield primes[i]
 
 
 def _dft(coeffs: list[int], powers: list[int], ell: int, radices: list[int]) -> list[int]:

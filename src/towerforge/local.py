@@ -3,21 +3,39 @@
 Elements are residues mod Phi_{p^m}(x) with coefficients carried mod p^N,
 where N is an explicit per-element precision. The maximal ideal is generated
 by pi = 1 - zeta, the ramification index is e = phi(p^m), and p = unit * pi^e.
+Everything fixed by (p, m) lives in one cached ring context per ring, which
+every element points to; precision stays per element, because dividing by pi
+lowers it.
 
 Valuations are read off the pi-power basis: substituting x = 1 - t rewrites an
-element as sum d_j t^j with j < e, and the terms d_j pi^j have pairwise
-distinct valuations e*v_p(d_j) + j, so the minimum is exact whenever it is
+element as sum c_j t^j with j < e, and the terms c_j pi^j have pairwise
+distinct valuations e*v_p(c_j) + j, so the minimum is exact whenever it is
 resolved by the carried precision (cap e*N).
 
-The kappa invariant (deepest level l at which an element is congruent to a
-p-th power mod pi^l) is found by exhaustive search over residue
-representatives, which is the only assumption-free oracle; the search is
-therefore hard-limited to p in {2, 3}, m in {1, 2} and levels <= 8.
+The same basis gives a canonical residue mod pi^l. Write l = e*k + r with
+0 <= r < e. An element is 0 mod pi^l iff every term has valuation >= l (the
+valuations are distinct, so no two terms can cancel), i.e. iff
+e*v_p(c_j) + j >= l, i.e. iff p^(k+1) | c_j for j < r and p^k | c_j for
+j >= r. The c_j are Z-linear in the coefficients, so x = y mod pi^l iff the
+c_j of x and y agree modulo those powers: the tuple of reduced c_j is the key
+of x at level l. It needs N >= k + 1 (or k when r = 0).
+
+The kappa invariant (deepest level l at which a unit is congruent to a p-th
+power mod pi^l) is read from a table of the keys of all p-th powers of units,
+built once per ring on first use. With l_max = kappa_cap(p, m), every unit
+mod pi^l_max is enumerated as sum_{i < l_max} d_i pi^i with d_0 in 1..p-1 and
+d_i in 0..p-1, and the key of gamma^p at level l_max is stored; lower levels
+are the same keys reduced further. This is exact: units mod pi^l_max map onto
+units mod pi^l, and gamma^p mod pi^l depends only on gamma mod pi^l, since
+(gamma + pi^l d)^p = gamma^p mod pi^l. A non-unit gamma has v(gamma^p) >= p,
+so it never matches a unit. The enumeration stays exhaustive, and it is
+hard-limited to p in {2, 3}, m in {1, 2} and levels <= 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product as iter_product
 from math import comb
 
@@ -46,34 +64,101 @@ _SEARCH_EXPONENTS = (1, 2)
 _SEARCH_LEVEL_LIMIT = 8
 
 
+class _LocalRing:
+    """What the ring Z_p[zeta_{p^m}] fixes, shared by all its elements.
+
+    One instance per (p, m), from ``_local_ring``; nothing changes it after
+    construction except the lazy tables, which fill in on first use (a ring
+    that only multiplies never needs the e^2 binomials).
+    ``cofactor`` holds the coefficients b_j of p/pi: with Phi_{p^m} =
+    sum_i a_i x^i, p = Phi(1) - Phi(zeta) = sum_i a_i (1 - zeta^i)
+    = (1 - zeta) * sum_j b_j zeta^j, where b_j = sum_{i > j} a_i.
+    """
+
+    def __init__(self, p: int, m: int) -> None:
+        self.p = p
+        self.m = m
+        self.phi = cyclo_poly(p**m)
+        self.e = len(self.phi) - 1
+        self.cofactor = tuple(sum(self.phi[j + 1 :]) for j in range(self.e))
+
+    @cached_property
+    def binomials(self) -> tuple[tuple[int, ...], ...]:
+        """Row j holds (-1)^j C(i, j) for i < e: the substitution x = 1 - t."""
+        return tuple(tuple((-1) ** j * comb(i, j) for i in range(self.e)) for j in range(self.e))
+
+    def t_basis(self, coeffs, modulus: int) -> list[int]:
+        """The c_j, each mod modulus, with sum_i coeffs[i] x^i = sum_j c_j (1 - x)^j."""
+        return [sum(b * a for b, a in zip(row, coeffs)) % modulus for row in self.binomials]
+
+    def key(self, c, level: int) -> tuple[int, ...]:
+        """Canonical residue mod pi^level from t-basis coefficients c.
+
+        c_j is reduced mod p^(k+1) for j < r and mod p^k for j >= r, where
+        level = e*k + r; c must be known modulo those powers.
+        """
+        k, r = divmod(level, self.e)
+        return tuple(cj % self.p ** (k + (j < r)) for j, cj in enumerate(c))
+
+    @cached_property
+    def pth_powers(self) -> tuple[frozenset, ...]:
+        """Keys of gamma^p over all units gamma, at each level 1..kappa_cap."""
+        p, m, e = self.p, self.m, self.e
+        top = kappa_cap(p, m)
+        precision = top // e + 1  # e * precision > top, so p^precision lies in pi^top
+        pi = LocalCycloElement.pi(p, m, precision)
+        pi_powers = [LocalCycloElement.from_int(1, p, m, precision)]
+        for _ in range(top - 1):
+            pi_powers.append(pi_powers[-1] * pi)
+        keys = set()
+        for digits in iter_product(range(1, p), *([range(p)] * (top - 1))):
+            gamma_coeffs = [0] * e
+            for digit, power in zip(digits, pi_powers):
+                if digit:
+                    gamma_coeffs = [a + digit * b for a, b in zip(gamma_coeffs, power.coeffs)]
+            gamma_p = LocalCycloElement(p, m, precision, gamma_coeffs) ** p
+            keys.add(self.key(self.t_basis(gamma_p.coeffs, p**precision), top))
+        return tuple(frozenset(self.key(c, level) for c in keys) for level in range(1, top + 1))
+
+
+@cache
+def _local_ring(p: int, m: int) -> _LocalRing:
+    return _LocalRing(p, m)
+
+
 class LocalCycloElement:
     """Immutable residue mod (Phi_{p^m}(x), p^precision)."""
 
-    __slots__ = ("p", "m", "precision", "coeffs")
+    __slots__ = ("p", "m", "precision", "coeffs", "ring")
 
     def __init__(self, p: int, m: int, precision: int, coeffs) -> None:
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        phi = cyclo_poly(p**m)
-        e = len(phi) - 1
+        ring = _local_ring(p, m)
+        e = ring.e
         pn = p**precision
         c = [int(x) for x in coeffs]
         if len(c) > e:
-            _, c = _poly_divmod_monic(c, phi)
+            _, c = _poly_divmod_monic(c, ring.phi)
         c = [x % pn for x in c]
         c += [0] * (e - len(c))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "coeffs", tuple(c[:e]))
+        object.__setattr__(self, "ring", ring)
 
     def __setattr__(self, *_):
         raise AttributeError("LocalCycloElement is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__, which attaches the loading process's ring
+        return (LocalCycloElement, (self.p, self.m, self.precision, self.coeffs))
+
     @property
     def e(self) -> int:
         """Ramification index phi(p^m)."""
-        return len(self.coeffs)
+        return self.ring.e
 
     @property
     def cap(self) -> int:
@@ -120,8 +205,9 @@ class LocalCycloElement:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -157,14 +243,9 @@ def pi_valuation(element: LocalCycloElement) -> int | AtCap:
     """
     if element.is_zero():
         raise ValueError("zero at the carried precision has no resolvable valuation")
-    p, e, n = element.p, element.e, element.precision
-    pn = p**n
+    p, e = element.p, element.e
     best = element.cap
-    for j in range(e):
-        d = sum(c * comb(i, j) for i, c in enumerate(element.coeffs) if i >= j)
-        if j % 2:
-            d = -d
-        d %= pn
+    for j, d in enumerate(element.ring.t_basis(element.coeffs, p**element.precision)):
         if d == 0:
             continue
         v = 0
@@ -178,13 +259,8 @@ def pi_valuation(element: LocalCycloElement) -> int | AtCap:
 
 
 def _pi_cofactor(p: int, m: int, precision: int) -> LocalCycloElement:
-    """The element b with pi * b = p, in closed form.
-
-    With Phi_{p^m} = sum_i a_i x^i, p = Phi(1) - Phi(zeta) = sum_i a_i (1 - zeta^i)
-    = (1 - zeta) * sum_j b_j zeta^j, where b_j = sum_{i > j} a_i.
-    """
-    phi = cyclo_poly(p**m)
-    return LocalCycloElement(p, m, precision, [sum(phi[j + 1 :]) for j in range(len(phi) - 1)])
+    """The element b with pi * b = p (closed form in ``_LocalRing``)."""
+    return LocalCycloElement(p, m, precision, _local_ring(p, m).cofactor)
 
 
 def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
@@ -220,30 +296,13 @@ def _enforce_search_domain(p: int, m: int, l_max: int) -> None:
         raise ValueError(f"l_max must be in [1, min(p^m, {_SEARCH_LEVEL_LIMIT})]")
 
 
-def _pth_power_residues(x: LocalCycloElement, level: int):
-    """Yield gamma^p - x over unit representatives gamma mod pi^level."""
-    p = x.p
-    pi = LocalCycloElement.pi(x.p, x.m, x.precision)
-    pi_powers = [LocalCycloElement.from_int(1, x.p, x.m, x.precision)]
-    for _ in range(level - 1):
-        pi_powers.append(pi_powers[-1] * pi)
-    # digit 0 runs over 1..p-1 only: a non-unit gamma has v(gamma^p) >= p > 0,
-    # so it can never witness congruence to a unit at level >= 1
-    for digits in iter_product(range(1, p), *([range(p)] * (level - 1))):
-        gamma_coeffs = [0] * x.e
-        for digit, power in zip(digits, pi_powers):
-            if digit:
-                gamma_coeffs = [a + digit * b for a, b in zip(gamma_coeffs, power.coeffs)]
-        gamma = LocalCycloElement(x.p, x.m, x.precision, gamma_coeffs)
-        yield gamma**p - x
-
-
 def kappa(x: LocalCycloElement, l_max: int) -> int:
-    """Largest l <= l_max such that x is a p-th power mod pi^l, by brute force.
+    """Largest l <= l_max such that x is a p-th power mod pi^l, by table lookup.
 
-    Searching representatives mod pi^l is exhaustive: perturbing a candidate
-    gamma by pi^l changes gamma^p only above level l. Requires a unit x and
-    l_max + e of resolvable valuation (safety margin of one ramification index).
+    The ring's table holds the key of every gamma^p mod pi^l over all units
+    gamma (see the module docstring). Requires a unit x and l_max + e of
+    resolvable valuation (safety margin of one ramification index), which
+    also makes every key up to l_max well defined.
     """
     _enforce_search_domain(x.p, x.m, l_max)
     if x.cap < l_max + x.e:
@@ -252,15 +311,11 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
         )
     if pi_valuation(x) != 0:
         raise ValueError("kappa is defined for units only")
+    ring = x.ring
+    c = ring.t_basis(x.coeffs, x.p**x.precision)
     best = 0
-    for level in range(1, l_max + 1):
-        found = False
-        for difference in _pth_power_residues(x, level):
-            v = pi_valuation(difference) if not difference.is_zero() else AT_CAP
-            if v is AT_CAP or v >= level:
-                found = True
-                break
-        if not found:
+    for level, keys in enumerate(ring.pth_powers[:l_max], 1):
+        if ring.key(c, level) not in keys:
             break
         best = level
     return best

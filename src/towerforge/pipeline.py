@@ -57,12 +57,24 @@ class CacheEntry:
     @classmethod
     def from_json_line(cls, line: str) -> "CacheEntry":
         payload = json.loads(line)
+        conductor = int(payload["conductor"])
         factors = tuple((int(p), int(e)) for p, e in payload["h_minus"])
-        value = 1
+        # Hadamard: h^- = w |det| / (2q)^n for the n x n half-system matrix with
+        # entries in (-q, q), so h^- <= w (n/4)^(n/2), where w <= 2q and
+        # n = phi(q)/2 <= q // 2 (the bound does not fall as an integer n >= 1
+        # grows). Compared in bits before each power is formed:
+        # log2 h^- >= sum e (bit_length(p) - 1), and twice log2 of the bound
+        # is below 2 bit_length(2q) + n (bit_length(n) - 2).
+        n = conductor // 2
+        limit = 2 * (2 * conductor).bit_length() + n * (n.bit_length() - 2)
+        value, bits = 1, 0
         for p, e in factors:
+            bits += e * (p.bit_length() - 1)
+            if p < 2 or e < 1 or 2 * bits > limit:
+                raise ValueError(f"h_minus factors out of range for conductor {conductor}")
             value *= p**e
         return cls(
-            int(payload["conductor"]),
+            conductor,
             FactoredInteger(value, factors),
             str(payload["computed_at"]),
             str(payload["method"]),

@@ -1,0 +1,60 @@
+"""Reference oracle for kappa: the exhaustive per-call enumeration.
+
+For each level l it enumerates every unit gamma mod pi^l and tests whether
+gamma^p - x has valuation >= l. The package reads kappa from a per-ring table
+of p-th-power residues instead; this slower, independent definition stays here
+so the tests can check the table against it.
+"""
+
+from __future__ import annotations
+
+from itertools import product as iter_product
+
+from towerforge.errors import PrecisionError
+from towerforge.local import AT_CAP, LocalCycloElement, _enforce_search_domain, pi_valuation
+
+
+def _pth_power_residues(x: LocalCycloElement, level: int):
+    """Yield gamma^p - x over unit representatives gamma mod pi^level."""
+    p = x.p
+    pi = LocalCycloElement.pi(x.p, x.m, x.precision)
+    pi_powers = [LocalCycloElement.from_int(1, x.p, x.m, x.precision)]
+    for _ in range(level - 1):
+        pi_powers.append(pi_powers[-1] * pi)
+    # digit 0 runs over 1..p-1 only: a non-unit gamma has v(gamma^p) >= p > 0,
+    # so it can never witness congruence to a unit at level >= 1
+    for digits in iter_product(range(1, p), *([range(p)] * (level - 1))):
+        gamma_coeffs = [0] * x.e
+        for digit, power in zip(digits, pi_powers):
+            if digit:
+                gamma_coeffs = [a + digit * b for a, b in zip(gamma_coeffs, power.coeffs)]
+        gamma = LocalCycloElement(x.p, x.m, x.precision, gamma_coeffs)
+        yield gamma**p - x
+
+
+def kappa(x: LocalCycloElement, l_max: int) -> int:
+    """Largest l <= l_max such that x is a p-th power mod pi^l, by brute force.
+
+    Searching representatives mod pi^l is exhaustive: perturbing a candidate
+    gamma by pi^l changes gamma^p only above level l. Requires a unit x and
+    l_max + e of resolvable valuation (safety margin of one ramification index).
+    """
+    _enforce_search_domain(x.p, x.m, l_max)
+    if x.cap < l_max + x.e:
+        raise PrecisionError(
+            f"precision resolves {x.cap}; need l_max + e = {l_max + x.e}"
+        )
+    if pi_valuation(x) != 0:
+        raise ValueError("kappa is defined for units only")
+    best = 0
+    for level in range(1, l_max + 1):
+        found = False
+        for difference in _pth_power_residues(x, level):
+            v = pi_valuation(difference) if not difference.is_zero() else AT_CAP
+            if v is AT_CAP or v >= level:
+                found = True
+                break
+        if not found:
+            break
+        best = level
+    return best

@@ -86,6 +86,16 @@ class TestHminus:
         assert "malformed cache line 1" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_cache_line_above_the_hadamard_bound_exits_2(self, tmp_path):
+        (tmp_path / "cache.jsonl").write_text(
+            '{"conductor":4,"h_minus":[[2,10000000]],"method":"product-formula","computed_at":"t"}\n'
+            '{"conductor":4,"h_minus":[],"method":"product-formula","computed_at":"t"}\n'
+        )
+        result = run_cli(["hminus", "--p", "2", "--m", "2"], tmp_path)
+        assert result.returncode == 2
+        assert "malformed cache line 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestOrderRegular:
     def test_order(self, tmp_path):

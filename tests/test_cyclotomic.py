@@ -8,6 +8,7 @@ import pytest
 
 from cyclo_reference import CycloElement, cyclo_norm, resultant
 
+from towerforge import cyclotomic
 from towerforge.arith import _MR_BOUND, euler_phi, is_prime
 from towerforge.cyclotomic import _crt_primes, cyclo_poly, integer_det, primitive_root_product
 
@@ -151,9 +152,34 @@ class TestPrimitiveRootProduct:
             assert len(set(primes)) == 5
             assert all(ell % d == 1 and ell < _MR_BOUND and is_prime(ell) for ell in primes)
 
+    def test_crt_primes_are_certified_once_per_d(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+        monkeypatch.setattr(cyclotomic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        weights = list(range(1, 130))
+        first = primitive_root_product(128, weights)
+        assert calls
+        calls.clear()
+        assert primitive_root_product(128, weights) == first
+        assert calls == []
+        # a longer walk resumes below the last prime found and matches a fresh search
+        known = list(cyclotomic._crt_prime_cache[128])
+        longer = list(islice(_crt_primes(128), len(known) + 2))
+        assert longer[:-2] == known
+        assert calls and max(calls) < known[-1]
+        assert longer == list(islice(_fresh_crt_primes(128), len(longer)))
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             primitive_root_product(0, [1])
+
+
+def _fresh_crt_primes(d):
+    k = (_MR_BOUND - 2) // d
+    while k > 0:
+        if is_prime(k * d + 1):
+            yield k * d + 1
+        k -= 1
 
 
 def random_element(rng, n, span=6):

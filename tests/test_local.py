@@ -1,8 +1,14 @@
 """Truncated local cyclotomic arithmetic, valuations, and kappa invariants."""
 
+import copy
+import pickle
 import random
+import subprocess
+import sys
 
+import local_reference
 import pytest
+from test_cli import cli_env
 
 from towerforge.errors import CofactorError, PrecisionError
 from towerforge.local import (
@@ -139,6 +145,68 @@ class TestKappa:
             kappa(LocalCycloElement.from_int(1, 3, 1, 2), 3)
 
 
+SEARCH_RINGS = ((2, 1), (2, 2), (3, 1), (3, 2))
+
+
+def minimal_precision(p, m, l_max):
+    """The smallest N with e * N >= l_max + e, the least precision kappa accepts."""
+    e = LocalCycloElement.pi(p, m, 1).e
+    return -(-(l_max + e) // e)
+
+
+def key_at(x, level):
+    return x.ring.key(x.ring.t_basis(x.coeffs, x.p**x.precision), level)
+
+
+class TestKappaTable:
+    @pytest.mark.parametrize("p,m", SEARCH_RINGS)
+    def test_agrees_with_the_enumerator(self, p, m):
+        rng = random.Random(37 * p + m)
+        cap = kappa_cap(p, m)
+        count = 3 if (p, m) == (3, 2) else 12
+        for precision in (minimal_precision(p, m, cap), minimal_precision(p, m, cap) + 2):
+            for _ in range(count):
+                u = random_unit(rng, p, m, precision)
+                power = random_unit(rng, p, m, precision) ** p
+                for x in (u, power * u, power):
+                    assert kappa(x, cap) == local_reference.kappa(x, cap), (x, cap)
+
+    @pytest.mark.parametrize("p,m", SEARCH_RINGS)
+    def test_lower_levels_at_their_minimal_precision(self, p, m):
+        rng = random.Random(41 * p + m)
+        for l_max in range(1, kappa_cap(p, m) + 1):
+            precision = minimal_precision(p, m, l_max)
+            for _ in range(4):
+                u = random_unit(rng, p, m, precision)
+                x = u * random_unit(rng, p, m, precision) ** p if rng.random() < 0.5 else u
+                assert kappa(x, l_max) == local_reference.kappa(x, l_max), (x, l_max)
+
+    def test_one_below_minimal_precision_rejected(self):
+        for p, m in SEARCH_RINGS:
+            cap = kappa_cap(p, m)
+            x = LocalCycloElement.from_int(1, p, m, minimal_precision(p, m, cap) - 1)
+            with pytest.raises(PrecisionError):
+                kappa(x, cap)
+
+    def test_table_sizes_of_ring_3_2(self):
+        # (3, 2): 2 * 3^7 = 4374 units mod pi^8 cube to 18 residues
+        assert [len(keys) for keys in LocalCycloElement.from_int(1, 3, 2, 2).ring.pth_powers] == [
+            2, 2, 2, 6, 6, 6, 18, 18
+        ]
+
+    @pytest.mark.parametrize("p,m", SEARCH_RINGS)
+    def test_key_is_the_residue_mod_pi_to_the_level(self, p, m):
+        rng = random.Random(43 * p + m)
+        for level in range(1, kappa_cap(p, m) + 1):
+            precision = minimal_precision(p, m, level)
+            pi = LocalCycloElement.pi(p, m, precision)
+            for _ in range(6):
+                x = random_unit(rng, p, m, precision) * pi ** rng.randrange(0, 3)
+                y = LocalCycloElement(p, m, precision, [rng.randrange(p**precision) for _ in x.coeffs])
+                assert key_at(x, level) == key_at(x + y * pi**level, level)
+                assert key_at(x, level) != key_at(x + pi ** (level - 1), level)
+
+
 class TestKummerClass:
     def test_uniformizer_shape(self):
         assert kummer_class(LocalCycloElement.pi(3, 1, 8)) == KummerClass(1, None)
@@ -206,3 +274,23 @@ class TestElementBasics:
 
     def test_at_cap_repr(self):
         assert repr(AT_CAP) == "AT_CAP"
+
+    def test_copies_keep_value_and_ring(self):
+        x = LocalCycloElement(3, 2, 5, [1, 2, 3, 4, 5, 7])
+        for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert clone == x and repr(clone) == repr(x) and hash(clone) == hash(x)
+            assert clone.ring is x.ring
+            assert kappa(clone, 2) == kappa(x, 2)
+
+    def test_pickled_element_works_in_a_fresh_process(self, tmp_path):
+        x = LocalCycloElement(3, 2, 5, [2, 0, 1, 0, 0, 1])
+        child = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys; from towerforge.local import kappa; "
+             "x = pickle.load(sys.stdin.buffer); print(kappa(x, 8), (x * x).coeffs)"],
+            input=pickle.dumps(x),
+            capture_output=True,
+            env=cli_env(tmp_path),
+            cwd=tmp_path,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        assert child.stdout.decode() == f"{kappa(x, 8)} {(x * x).coeffs}\n"

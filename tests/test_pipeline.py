@@ -1,6 +1,7 @@
 """Cache, table reproduction, candidate search, and report serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +79,32 @@ class TestCache:
         cache.path.write_text(f"{line}\n{valid}\n")
         with pytest.raises(ValueError, match="malformed cache line 1 in"):
             cache.load()
+
+    @pytest.mark.parametrize(
+        "conductor,factors",
+        [(4, [[2, 10**7]]), (2048, [[2, 5000]]), (4, [[0, -1]])],
+        ids=["2^(10^7)", "above-2048-bound", "zero-prime"],
+    )
+    def test_line_above_the_hadamard_bound_raises(self, cache, conductor, factors):
+        line = json.dumps(
+            {"conductor": conductor, "h_minus": factors, "method": "product-formula", "computed_at": "t"}
+        )
+        valid = CacheEntry(4, factorize(1), "t", "product-formula").to_json_line()
+        cache.path.write_text(f"{line}\n{valid}\n")
+        with pytest.raises(ValueError, match="malformed cache line 1 in"):
+            cache.load()
+
+    def test_every_factored_reference_value_loads(self, cache):
+        reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+        entries = {
+            int(q): CacheEntry(int(q), FactoredInteger(row["value"], tuple(map(tuple, row["factors"]))), "t", "m")
+            for q, row in json.loads(reference.read_text())["hminus"].items()
+            if row["factors"] is not None
+        }
+        assert len(entries) == 59
+        for entry in entries.values():
+            cache.store(entry)
+        assert cache.load() == entries
 
     def test_accelerator_path(self, cache):
         value = cached_relative_class_number(2, 7, cache)
