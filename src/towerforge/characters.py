@@ -22,8 +22,24 @@ recomputed from scratch two independent ways, both in integers only:
   g(a_i * a_j^-1), for any odd function g on the units, has the vectors
   (chi(a_j))_j as eigenbasis with eigenvalues sum_{half} g(a)chi(a), one per
   odd character chi. Taking g(x) = R(x)/q - 1/2 (R = least positive residue)
-  makes the eigenvalue B(chi)/2, hence h^- = Q * w * |det|. The implementation
-  scales entries to the integers 2R(a_i a_j^-1) - q and divides (2q)^n back out.
+  makes the eigenvalue B(chi)/2, hence h^- = Q * w * |det|. Scaled to the
+  integers M_ij = 2R(a_i c_j) - q, with c_j = a_j^-1 mod q, this reads
+  h^- = w |det M| / (2q)^n.
+
+  Identity. With F_ij = floor(a_i c_j / q), R(a_i c_j) = a_i c_j - q F_ij, so
+  M = -2q (F - a c^T/q + 1 1^T/2). The bordered integer matrix
+  B = [[F, a, 1], [c^T, q, 0], [-1^T, 0, 2]] has the lower-right block
+  D = diag(q, 2), and the Schur complement gives
+  det B = det D * det(F - [a 1] D^-1 [c^T; -1^T])
+        = 2q det(F - a c^T/q + 1 1^T/2) = 2q det M / (-2q)^n.
+  Hence h^- = w |det B| / (2q): plain linear algebra, no characters.
+
+  Bound. Hadamard's inequality |det M|^2 <= prod_i sum_j M_ij^2 gives
+  (det B)^2 <= 4q^2 prod_i sum_j M_ij^2 / (2q)^(2n). ``integer_det`` computes
+  det B by elimination modulo certified primes l > 2q, with every row packed
+  into one int, until their product exceeds twice the square root of this
+  bound. At q = 343 that gives |det B| < 2^276, where Hadamard on M alone
+  gives 2^1651: 4 primes do instead of 21.
 
 Character values are held as exponents on fixed generators; each character
 carries the unit-group structure they refer to.
@@ -33,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import FactoredInteger, euler_phi, factorize, is_prime
 from .cyclotomic import integer_det, primitive_root_product
@@ -210,16 +226,32 @@ def hminus_product(p: int, m: int) -> int:
     return _positive_quotient(q, total, (-2 * q) ** half, "odd-character product")
 
 
-def hminus_determinant(p: int, m: int, *, bound: int = 200) -> int:
-    """h^-(conductor p^m) by the half-system determinant; desk-scale oracle."""
+def _bordered_system(q: int) -> tuple[list[list[int]], int]:
+    """B = [[F, a, 1], [c^T, q, 0], [-1^T, 0, 2]] for conductor q, and an integer >= (det B)^2.
+
+    a is the half-system 1 <= a < q/2 of units, c_j = a_j^-1 mod q and
+    F_ij = floor(a_i c_j / q). det B = 2q det M / (-2q)^n for the half-system
+    matrix M_ij = 2(a_i c_j mod q) - q, and the bound is the ceiling of
+    4q^2 prod_i sum_j M_ij^2 / (2q)^(2n); both are proved in the module
+    docstring.
+    """
+    half = [a for a in range(1, (q + 1) // 2) if gcd(a, q) == 1]
+    inverses = [pow(a, -1, q) for a in half]
+    n = len(half)
+    bordered = [[a * c // q for c in inverses] + [a, 1] for a in half]
+    bordered.append(inverses + [q, 0])
+    bordered.append([-1] * n + [0, 2])
+    hadamard = prod(sum((2 * (a * c % q) - q) ** 2 for c in inverses) for a in half)
+    return bordered, -(-4 * q * q * hadamard // (2 * q) ** (2 * n))
+
+
+def hminus_determinant(p: int, m: int, *, bound: int = 512) -> int:
+    """h^-(conductor p^m) by the half-system determinant; the character-free oracle."""
     q = _validated_conductor(p, m)
     if q > bound:
         raise BudgetExceededError(f"determinant oracle bound {bound} exceeded by conductor {q}")
-    half = [a for a in range(1, (q + 1) // 2) if gcd(a, q) == 1]
-    inverses = {a: pow(a, -1, q) for a in half}
-    matrix = [[2 * (a * inverses[b] % q) - q for b in half] for a in half]
-    det = integer_det(matrix)
-    return _positive_quotient(q, abs(det), (2 * q) ** len(half), "determinant")
+    det = integer_det(*_bordered_system(q))
+    return _positive_quotient(q, abs(det), 2 * q, "determinant")
 
 
 @dataclass(frozen=True)
@@ -238,7 +270,7 @@ def relative_class_number(p: int, m: int, *, rho_budget: int = 2_000_000) -> Rel
 
 
 def relative_class_number_det(
-    p: int, m: int, *, bound: int = 200, rho_budget: int = 2_000_000
+    p: int, m: int, *, bound: int = 512, rho_budget: int = 2_000_000
 ) -> RelClassNumber:
     """h^- by the determinant oracle; must agree with the product formula."""
     value = hminus_determinant(p, m, bound=bound)

@@ -1,17 +1,21 @@
 """Cyclotomic polynomials and the two exact integer kernels built on them.
 
-Polynomials are dense integer coefficient lists, index = degree. The kernels
-are ``integer_det``, a fraction-free Bareiss determinant (it serves the h^-
-determinant oracle), and ``primitive_root_product``, the norm of W(zeta_d)
-computed modulo certified primes and recombined by the Chinese remainder
-theorem under a proven bound. Neither uses anything but integers.
+Polynomials are dense integer coefficient lists, index = degree. Both kernels
+work modulo primes below the deterministic Miller-Rabin bound, each certified
+by ``is_prime``, and end in one reconstruction, ``_crt_reconstruct``: Chinese
+remaindering until the modulus exceeds twice a proven bound, then the
+symmetric lift. ``integer_det`` (it serves the h^- determinant oracle)
+eliminates over F_l with each row packed into one int, under Hadamard's bound
+or a tighter one the caller proves. ``primitive_root_product`` is the norm of
+W(zeta_d), from one transform mod l per prime, under a Parseval/AM-GM bound.
+Neither uses anything but integers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import count
-from math import gcd
+from math import gcd, prod
 
 from .arith import _MR_BOUND, euler_phi, factorize, is_prime
 
@@ -73,39 +77,6 @@ def cyclo_poly(n: int) -> tuple[int, ...]:
     return result
 
 
-def integer_det(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Every intermediate entry is a minor of the input, so the single division
-    per step is exact and everything stays in Z.
-    """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 _crt_prime_cache: dict[int, list[int]] = {}
 
 
@@ -125,6 +96,80 @@ def _crt_primes(d: int) -> Iterator[int]:
                 return
             primes.append(k * d + 1)
         yield primes[i]
+
+
+def _crt_reconstruct(
+    residue: Callable[[int], int], primes: Iterator[int], limit: int, scale: int = 1
+) -> int:
+    """The integer N with N = residue(l) (mod l) for every l drawn from ``primes``.
+
+    The caller proves 4 N^2 scale <= limit. Residues are combined by the
+    Chinese remainder theorem until the modulus M has M^2 scale > limit, so
+    M > 2|N|, and N is the residue in (-M/2, M/2]. Both exact kernels end here.
+    """
+    modulus, value = 1, 0
+    while modulus * modulus * scale <= limit:
+        ell = next(primes)
+        value += modulus * ((residue(ell) - value) * pow(modulus, -1, ell) % ell)
+        modulus *= ell
+    return value - modulus if 2 * value > modulus else value
+
+
+def _det_mod(matrix: Sequence[Sequence[int]], ell: int) -> int:
+    """det(matrix) mod the prime ell, by Gaussian elimination on packed rows.
+
+    Each row is one int with one slot of ``width`` bytes per column, the
+    lowest slot holding the leftmost live column. Only the pivot row is
+    unpacked: reduced mod ell and scaled by -1/pivot, its tail becomes the
+    packed row P with slots in [0, ell). Every other row r becomes
+    (r >> s) + f P, where s is the slot width in bits and f = (r's lowest
+    slot) mod ell, which drops the eliminated column and adds f P mod ell.
+    Slots start in [0, ell) and grow by at most (ell - 1)^2 per step over at
+    most n - 1 steps, so they stay non-negative and below n ell^2 <
+    2^(2 bitlen(ell) + bitlen(n + 1)) <= 2^s: no slot ever carries into the
+    next, and each slot stays congruent to its entry of the eliminated matrix.
+    """
+    n = len(matrix)
+    width = (2 * ell.bit_length() + (n + 1).bit_length() + 7) // 8
+    shift = 8 * width
+    mask = (1 << shift) - 1
+
+    def pack(values) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+    rows = [pack(x % ell for x in row) for row in matrix]
+    det = 1
+    for k in range(n):
+        pivot_index = next((i for i in range(k, n) if (rows[i] & mask) % ell), None)
+        if pivot_index is None:
+            return 0
+        if pivot_index != k:
+            rows[k], rows[pivot_index] = rows[pivot_index], rows[k]
+            det = -det
+        data = rows[k].to_bytes(width * (n - k), "little")
+        pivot = int.from_bytes(data[:width], "little") % ell
+        det = det * pivot % ell
+        scale = ell - pow(pivot, -1, ell)
+        packed = pack(
+            int.from_bytes(data[j : j + width], "little") * scale % ell
+            for j in range(width, len(data), width)
+        )
+        rows[k + 1 :] = [(r >> shift) + (r & mask) % ell * packed for r in rows[k + 1 :]]
+    return det % ell
+
+
+def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None) -> int:
+    """Determinant of a square integer matrix, exact, from its residues mod primes.
+
+    ``square_bound`` must be at least det^2; it defaults to Hadamard's bound
+    prod_i sum_j m_ij^2. Each prime l comes from ``_crt_primes(1)``: it lies
+    below the deterministic Miller-Rabin bound and is certified by
+    ``is_prime``. ``_det_mod`` gives det mod l, and ``_crt_reconstruct`` lifts
+    the residues once their modulus exceeds 2 sqrt(square_bound).
+    """
+    if square_bound is None:
+        square_bound = prod(sum(x * x for x in row) for row in matrix)
+    return _crt_reconstruct(lambda ell: _det_mod(matrix, ell), _crt_primes(1), 4 * square_bound)
 
 
 def _dft(coeffs: list[int], powers: list[int], ell: int, radices: list[int]) -> list[int]:
@@ -160,9 +205,8 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring map
     Z[zeta_d] -> F_l. N = prod_j W(zeta_d^j) holds in Z[zeta_d], so
     N = prod_j W(omega^j) (mod l). One mixed-radix transform mod l gives all
-    d values W(omega^j). Every l lies
-    below the deterministic Miller-Rabin bound and is certified by
-    ``is_prime``.
+    d values W(omega^j). Every l lies below the deterministic Miller-Rabin
+    bound and is certified by ``is_prime``.
 
     Bound. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)
     = 0, so subtracting one integer c from every w_i leaves each W(zeta_d^j)
@@ -170,10 +214,9 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     v_j = sum_i (w_i - c) zeta_d^(ij) for j in Z/d and S = sum_i (w_i - c)^2.
     The orthogonality sum_j zeta_d^(j(i-k)) = d [i = k] gives Parseval's
     identity sum_j |v_j|^2 = d S. Over the phi = phi(d) units j, AM-GM gives
-    N^2 = prod |v_j|^2 <= (sum |v_j|^2 / phi)^phi <= (d S / phi)^phi. The
-    residues are combined by the Chinese remainder theorem until the modulus
-    M has M^2 phi^phi > 4 (d S)^phi, so M > 2|N|, and N is the residue in
-    (-M/2, M/2). A zero W needs no prime at all.
+    N^2 = prod |v_j|^2 <= (sum |v_j|^2 / phi)^phi <= (d S / phi)^phi, so
+    4 N^2 phi^phi <= 4 (d S)^phi, the limit ``_crt_reconstruct`` is given. A
+    zero W needs no prime at all.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -186,11 +229,8 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     radices = [r for r, e in factors for _ in range(e)]
     shift = sum(folded) // d if d > 1 else 0
     limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi
-    scale = phi**phi
-    modulus, value = 1, 0
-    primes = _crt_primes(d)
-    while modulus * modulus * scale <= limit:
-        ell = next(primes)
+
+    def residue(ell: int) -> int:
         g = 2  # g^((l-1)/d) has exact order d iff no g^((l-1)/r), r | d, is 1
         while any(pow(g, (ell - 1) // r, ell) == 1 for r, _ in factors):
             g += 1
@@ -199,9 +239,9 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
         for j in range(1, d):
             powers[j] = powers[j - 1] * omega % ell
         values = _dft(folded, powers, ell, radices)
-        residue = 1
+        result = 1
         for j in units:
-            residue = residue * values[j] % ell
-        value += modulus * ((residue - value) * pow(modulus, -1, ell) % ell)
-        modulus *= ell
-    return value - modulus if 2 * value > modulus else value
+            result = result * values[j] % ell
+        return result
+
+    return _crt_reconstruct(residue, _crt_primes(d), limit, phi**phi)

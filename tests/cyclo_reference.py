@@ -1,11 +1,11 @@
-"""Reference oracle for the h^- product route: exact Q(zeta_n) arithmetic.
+"""Reference oracles for both exact kernels: Bareiss and exact Q(zeta_n) arithmetic.
 
-A Sylvester resultant evaluated with the package's Bareiss determinant, a
-field-element class with Fraction coefficients, its norm, and B(chi) as an
-element of Q(zeta_d). The package computes the orbit norms with
-``primitive_root_product`` instead; these slower, independent definitions
-stay here so the tests can check that kernel and the h^- product against
-them.
+A fraction-free Bareiss determinant, a Sylvester resultant evaluated with it,
+a field-element class with Fraction coefficients, its norm, and B(chi) as an
+element of Q(zeta_d). The package computes determinants modulo primes with
+``integer_det`` and the orbit norms with ``primitive_root_product`` instead;
+these slower, independent definitions stay here so the tests can check those
+kernels and the h^- routes against them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,40 @@ from fractions import Fraction
 from math import lcm
 
 from towerforge.characters import DirichletCharacter, _weights
-from towerforge.cyclotomic import _poly_divmod_monic, _poly_mul, _trim, cyclo_poly, integer_det
+from towerforge.cyclotomic import _poly_divmod_monic, _poly_mul, _trim, cyclo_poly
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every intermediate entry is a minor of the input, so the single division
+    per step is exact and everything stays in Z.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def resultant(f: list[int] | tuple[int, ...], g: list[int] | tuple[int, ...]) -> int:
@@ -41,7 +74,7 @@ def resultant(f: list[int] | tuple[int, ...], g: list[int] | tuple[int, ...]) ->
         rows.append([0] * i + frev + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + grev + [0] * (size - n - 1 - i))
-    return integer_det(rows)
+    return bareiss_det(rows)
 
 
 class CycloElement:

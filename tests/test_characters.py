@@ -10,11 +10,12 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from cyclo_reference import CycloElement, gen_bernoulli_b1
+from cyclo_reference import CycloElement, bareiss_det, gen_bernoulli_b1
 from test_cli import cli_env
 
-from towerforge.arith import euler_phi
+from towerforge.arith import euler_phi, is_prime
 from towerforge.characters import (
+    _bordered_system,
     _odd_orbit_representatives,
     characters_mod,
     hminus_determinant,
@@ -22,6 +23,7 @@ from towerforge.characters import (
     relative_class_number,
     relative_class_number_det,
 )
+from towerforge.cyclotomic import integer_det
 from towerforge.errors import BudgetExceededError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -202,6 +204,12 @@ class TestLargeConductors:
             assert entry["p"] ** entry["m"] == q
             assert hminus_product(entry["p"], entry["m"]) == entry["value"], q
 
+    def test_oracle_matches_the_benchmark_reference(self):
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hminus"]
+        for q in (625, 729, 1024):
+            entry = reference[str(q)]
+            assert hminus_determinant(entry["p"], entry["m"], bound=1024) == entry["value"], q
+
 
 class TestDeterminantOracle:
     def test_examples(self):
@@ -217,8 +225,43 @@ class TestDeterminantOracle:
 
     def test_bound(self):
         with pytest.raises(BudgetExceededError):
-            hminus_determinant(2, 8)
-        assert hminus_determinant(2, 8, bound=300) == hminus_product(2, 8)
+            hminus_determinant(2, 10)
+        assert hminus_determinant(2, 9) == hminus_product(2, 9)
+
+
+def half_system_matrix(q):
+    """M_ij = 2R(a_i a_j^-1) - q over the units 1 <= a < q/2, R the least positive residue."""
+    half = [a for a in range(1, (q + 1) // 2) if gcd(a, q) == 1]
+    return half, [[2 * (a * pow(b, -1, q) % q) - q for b in half] for a in half]
+
+
+class TestBorderedIdentity:
+    """det B = 2q det M / (-2q)^n, on which the oracle's prime count rests."""
+
+    def test_every_conductor_up_to_200(self):
+        conductors = [
+            p**m for p in range(2, 201) if is_prime(p) for m in range(1, 8) if 3 <= p**m <= 200
+        ]
+        assert len(conductors) == 59
+        for q in conductors:
+            half, matrix = half_system_matrix(q)
+            bordered, square_bound = _bordered_system(q)
+            det_b = integer_det(bordered, square_bound)
+            assert det_b * det_b <= square_bound, q
+            assert 2 * q * bareiss_det(matrix) == (-2 * q) ** len(half) * det_b, q
+
+    def test_explicit_bordered_matrix(self):
+        for q in (5, 7, 8, 9, 16, 23, 25, 27, 29, 32):
+            half, matrix = half_system_matrix(q)
+            n = len(half)
+            inverses = [pow(a, -1, q) for a in half]
+            floors = [[(a * c - a * c % q) // q for c in inverses] for a in half]
+            bordered = [row + [a, 1] for row, a in zip(floors, half)]
+            bordered += [inverses + [q, 0], [-1] * n + [0, 2]]
+            assert _bordered_system(q)[0] == bordered, q
+            det_b = bareiss_det(bordered)
+            assert integer_det(bordered) == det_b, q
+            assert 2 * q * bareiss_det(matrix) == (-2 * q) ** n * det_b, q
 
 
 class TestOrbitGroupingInvariance:

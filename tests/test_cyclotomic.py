@@ -2,15 +2,22 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import pytest
 
-from cyclo_reference import CycloElement, cyclo_norm, resultant
+from cyclo_reference import CycloElement, bareiss_det, cyclo_norm, resultant
 
 from towerforge import cyclotomic
 from towerforge.arith import _MR_BOUND, euler_phi, is_prime
-from towerforge.cyclotomic import _crt_primes, cyclo_poly, integer_det, primitive_root_product
+from towerforge.cyclotomic import (
+    _crt_primes,
+    _det_mod,
+    cyclo_poly,
+    integer_det,
+    primitive_root_product,
+)
 
 
 def poly_mul(a, b):
@@ -22,14 +29,32 @@ def poly_mul(a, b):
 
 
 def naive_det(m):
+    """Laplace expansion along the top row, memoized on the set of columns left."""
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * naive_det(minor)
-    return total
+
+    @cache
+    def minor(columns):  # rows n - |columns| .. n - 1, columns as a bit mask
+        if not columns:
+            return 1
+        row = m[n - columns.bit_count()]
+        total, sign = 0, 1
+        for j in range(n):
+            if columns >> j & 1:
+                total += sign * row[j] * minor(columns & ~(1 << j))
+                sign = -sign
+        return total
+
+    return minor((1 << n) - 1)
+
+
+def ceiling_matrix(n):
+    """det 1; mod every l each elimination step adds (l - 1)^2 to every live slot.
+
+    Row k of the eliminated matrix is all ones from column k on and every row
+    below it starts with -1, so each step's pivot row scaled by -1/pivot is
+    all l - 1 and each multiplier is l - 1: the last slot ends near n l^2.
+    """
+    return [[1 - i if i <= j else -1 - j for j in range(n)] for i in range(n)]
 
 
 class TestCycloPoly:
@@ -62,17 +87,66 @@ class TestCycloPoly:
 
 
 class TestIntegerDet:
+    @staticmethod
+    def check(m, naive=True):
+        expected = bareiss_det(m)
+        assert integer_det(m) == expected
+        if naive:
+            assert naive_det(m) == expected
+
     def test_against_naive(self):
         rng = random.Random(11)
-        for n in range(1, 6):
-            for _ in range(20):
-                m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-                assert integer_det(m) == naive_det(m)
+        for n in range(13):
+            for _ in range(20 if n <= 6 else 3):
+                self.check([[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
 
     def test_empty_and_singular(self):
         assert integer_det([]) == 1
         assert integer_det([[1, 2], [2, 4]]) == 0
+        rng = random.Random(13)
+        for n in range(2, 13):
+            m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            m[n - 1] = m[0][:]  # duplicate rows
+            self.check(m)
+            assert integer_det(m) == 0
+            m[n - 1] = [0] * n
+            m[0] = [3 * x for x in m[1]]  # proportional rows
+            self.check(m)
 
+    def test_zero_leading_pivot_forces_a_swap(self):
+        self.check([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
+        self.check([[0, 0, 1, 2], [0, 3, 4, 5], [6, 7, 8, 9], [1, 0, 0, 1]])
+        ell = next(_crt_primes(1))
+        # nonzero pivot that vanishes mod the first prime: the swap happens in F_l
+        self.check([[ell, 1], [1, 1]])
+        assert _det_mod([[ell, 1], [1, 1]], ell) == ell - 1
+
+    def test_negative_entries_and_entries_above_the_primes(self):
+        ell = next(_crt_primes(1))
+        rng = random.Random(17)
+        for n in range(1, 13):
+            m = [[rng.randrange(-(10**30), 10**30) for _ in range(n)] for _ in range(n)]
+            self.check(m, naive=n <= 8)
+            m = [
+                [ell * rng.randrange(-3, 4) + rng.randrange(-2, 3) for _ in range(n)]
+                for _ in range(n)
+            ]
+            self.check(m, naive=n <= 8)
+
+    def test_slots_at_the_ceiling(self):
+        # 64 rows: the last slot reaches about 63 l^2 > 2^168, past a slot of
+        # 2 bitlen(l) bits rounded to bytes, so a slot without the bitlen(n + 1)
+        # headroom carries into its neighbour here.
+        ell = next(_crt_primes(1))
+        for n in (12, 64):
+            m = ceiling_matrix(n)
+            self.check(m, naive=n <= 12)
+            assert integer_det(m) == 1
+            assert _det_mod(m, ell) == 1
+
+    def test_caller_bound(self):
+        m = [[2, 1], [1, 2]]
+        assert integer_det(m, 9) == 3
 
 class TestResultant:
     def test_hand_values(self):
