@@ -9,7 +9,8 @@ probabilistically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from functools import cache
+from math import gcd, isqrt, prod
 
 from .errors import FactorizationError
 
@@ -129,30 +130,46 @@ def _pollard_brent(n: int, c: int, budget: int) -> tuple[int | None, int]:
     return (g if g != n else None), used
 
 
+@cache
+def _trial_primes() -> tuple[int, tuple[int, ...]]:
+    """The product of the primes up to the trial bound, and those primes."""
+    sieve = bytearray([1]) * (_TRIAL_BOUND + 1)
+    for i in range(2, isqrt(_TRIAL_BOUND) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    primes = tuple(d for d in range(2, _TRIAL_BOUND + 1) if sieve[d])
+    return prod(primes), primes
+
+
 def factorize(n: int, *, rho_budget: int = 2_000_000) -> FactoredInteger:
     """Complete prime factorization of n >= 1.
 
-    Trial division below a fixed bound, then Brent-rho on the survivors, each
-    certified prime before being recorded. Raises FactorizationError if the
-    rho iteration budget runs out before the factorization is complete.
+    Trial division below a fixed bound, by one gcd with the product of the
+    primes there, then Brent-rho on the survivors, each certified prime
+    before being recorded. Raises FactorizationError if the rho iteration
+    budget runs out before the factorization is complete.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     value = n
     counts: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # steps through residues coprime to 30
-    w = 0
-    while d <= _TRIAL_BOUND and d * d <= n:
+    # one gcd against the product of the primes up to the trial bound finds
+    # every small prime factor; g is squarefree, so once d^2 > g, g is prime
+    product, primes = _trial_primes()
+    g = gcd(n, product)
+    small = []
+    for d in primes:
+        if d * d > g:
+            break
+        if g % d == 0:
+            g //= d
+            small.append(d)
+    if g > 1:
+        small.append(g)
+    for d in small:
         while n % d == 0:
             counts[d] = counts.get(d, 0) + 1
             n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
     if n > 1 and n <= _TRIAL_BOUND * _TRIAL_BOUND:
         # below the trial bound squared a survivor is automatically prime
         counts[n] = counts.get(n, 0) + 1

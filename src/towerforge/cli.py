@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .arith import euler_phi, mult_order
 from .bernoulli import is_regular_prime
@@ -123,7 +124,9 @@ def _cmd_search(args) -> int:
     return EXIT_BUDGET if result.budget_exceeded else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="towerforge",
         description="Exact verification of infinite class field tower criteria "

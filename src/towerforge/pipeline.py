@@ -12,10 +12,12 @@ import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from io import StringIO
+from math import prod
 from pathlib import Path
 
-from .arith import FactoredInteger
+from .arith import FactoredInteger, is_prime_power
 from .characters import relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import CacheMismatchError, FactorizationError
@@ -37,6 +39,33 @@ DEFAULT_CACHE_NAME = "hminus-cache.jsonl"
 # the three conductors whose verification table the CLI reproduces end to end
 TABLE_CASES = ((2, 7), (3, 4), (5, 3))
 
+# cached conductors are prime powers in [3, cap]; the cap, far above any
+# computable h^-, is checked before factoring and bounds the Hadamard limit
+_MAX_CACHED_CONDUCTOR = 2**20
+
+
+def _check_cacheable(conductor: int, factors: tuple[tuple[int, int], ...]) -> None:
+    """Raise ValueError unless h^-(conductor) = prod p^e may be cached.
+
+    Both ``HminusCache.store`` and ``CacheEntry.from_json_line`` call this,
+    so the cache never holds a line that a load would reject.
+    """
+    if not 3 <= conductor <= _MAX_CACHED_CONDUCTOR or is_prime_power(conductor) is None:
+        raise ValueError(f"conductor {conductor} is not a prime power in [3, {_MAX_CACHED_CONDUCTOR}]")
+    # Hadamard: h^- = w |det| / (2q)^n for the n x n half-system matrix with
+    # entries in (-q, q), so h^- <= w (n/4)^(n/2), where w <= 2q and
+    # n = phi(q)/2 <= q // 2 (the bound does not fall as an integer n >= 1
+    # grows). Compared in bits, so no power is formed:
+    # log2 h^- >= sum e (bit_length(p) - 1), and twice log2 of the bound
+    # is below 2 bit_length(2q) + n (bit_length(n) - 2).
+    n = conductor // 2
+    limit = 2 * (2 * conductor).bit_length() + n * (n.bit_length() - 2)
+    bits = 0
+    for p, e in factors:
+        bits += e * (p.bit_length() - 1)
+        if p < 2 or e < 1 or 2 * bits > limit:
+            raise ValueError(f"h_minus factors out of range for conductor {conductor}")
+
 
 @dataclass(frozen=True)
 class CacheEntry:
@@ -55,27 +84,16 @@ class CacheEntry:
         return json.dumps(payload, separators=(",", ":"))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def from_json_line(cls, line: str) -> "CacheEntry":
+        """Parse and check one line; memoized on its text (a raise is not)."""
         payload = json.loads(line)
         conductor = int(payload["conductor"])
         factors = tuple((int(p), int(e)) for p, e in payload["h_minus"])
-        # Hadamard: h^- = w |det| / (2q)^n for the n x n half-system matrix with
-        # entries in (-q, q), so h^- <= w (n/4)^(n/2), where w <= 2q and
-        # n = phi(q)/2 <= q // 2 (the bound does not fall as an integer n >= 1
-        # grows). Compared in bits before each power is formed:
-        # log2 h^- >= sum e (bit_length(p) - 1), and twice log2 of the bound
-        # is below 2 bit_length(2q) + n (bit_length(n) - 2).
-        n = conductor // 2
-        limit = 2 * (2 * conductor).bit_length() + n * (n.bit_length() - 2)
-        value, bits = 1, 0
-        for p, e in factors:
-            bits += e * (p.bit_length() - 1)
-            if p < 2 or e < 1 or 2 * bits > limit:
-                raise ValueError(f"h_minus factors out of range for conductor {conductor}")
-            value *= p**e
+        _check_cacheable(conductor, factors)
         return cls(
             conductor,
-            FactoredInteger(value, factors),
+            FactoredInteger(prod(p**e for p, e in factors), factors),
             str(payload["computed_at"]),
             str(payload["method"]),
         )
@@ -119,6 +137,7 @@ class HminusCache:
         return self.load().get(conductor)
 
     def store(self, entry: CacheEntry) -> None:
+        _check_cacheable(entry.conductor, entry.h_minus.factors)
         line = entry.to_json_line().encode("utf-8") + b"\n"
         with self.path.open("a+b") as handle:
             size = handle.seek(0, os.SEEK_END)

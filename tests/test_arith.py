@@ -5,6 +5,9 @@ from math import gcd
 
 import pytest
 
+import arith_reference
+from arith_reference import wheel_factorize
+from towerforge import arith
 from towerforge.arith import (
     FactoredInteger,
     euler_phi,
@@ -113,6 +116,57 @@ class TestFactorize:
         f = factorize(360)
         assert f.exponent_of(2) == 3
         assert f.exponent_of(7) == 0
+
+
+def outcome(factor, n, rho_budget):
+    """factorize's result, or the type and message of what it raised."""
+    try:
+        return factor(n, rho_budget=rho_budget)
+    except (FactorizationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+EDGES = (
+    [9973**2, 9973 * 10007, 10007**2, 10**8 - 1, 10**8, 10**8 + 1, 9973, 10007, 9967 * 9973]
+    + [10007 * 10009, 10007**2 * 9973**3, 2 * 10007, 10**8 * 10007, 1, 2, 7, 49, 10**4]
+    + [2**a * 3**b * 5**c * 7 for a in range(0, 40, 7) for b in range(0, 20, 4) for c in range(0, 12, 3)]
+)
+
+
+class TestTrialDivisionByGcd:
+    """factorize against the wheel loop it replaced (tests/arith_reference.py)."""
+
+    def assert_same(self, numbers, monkeypatch, rho_budget):
+        calls = {"gcd": [], "wheel": []}
+        for module, side in ((arith, "gcd"), (arith_reference, "wheel")):
+            rho = module._pollard_brent
+            monkeypatch.setattr(
+                module,
+                "_pollard_brent",
+                lambda m, c, budget, rho=rho, side=side: calls[side].append((m, c)) or rho(m, c, budget),
+            )
+        for n in numbers:
+            assert outcome(factorize, n, rho_budget) == outcome(wheel_factorize, n, rho_budget), n
+        # rho is handed the same composite survivors in the same order
+        assert calls["gcd"] == calls["wheel"]
+
+    def test_edges(self, monkeypatch):
+        self.assert_same(EDGES, monkeypatch, 2_000_000)
+
+    def test_seeded_random_up_to_10_30(self, monkeypatch):
+        rng = random.Random(20261018)
+        numbers = [rng.randrange(1, 10 ** rng.randrange(2, 31)) for _ in range(150)]
+        numbers += [rng.randrange(1, 10**8) * rng.choice([9973, 10007, 9973 * 10007]) for _ in range(50)]
+        # a small rho budget keeps the hard composites quick; budget
+        # exhaustion must then happen identically on both sides
+        self.assert_same(numbers, monkeypatch, 5_000)
+
+    def test_against_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        numbers = EDGES + [rng.randrange(1, 10 ** rng.randrange(2, 19)) for _ in range(300)]
+        for n in numbers:
+            assert dict(factorize(n).factors) == {int(p): e for p, e in sympy.factorint(n).items()}, n
 
 
 class TestEulerPhi:

@@ -1,11 +1,19 @@
 """Bernoulli numbers and the regular-prime test."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bernoulli_reference import recurrence_bernoulli
 from towerforge.arith import is_prime
 from towerforge.bernoulli import BernoulliTable, bernoulli, is_regular_prime
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def akiyama_tanigawa(n):
@@ -88,3 +96,42 @@ class TestIsRegularPrime:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             is_regular_prime(15)
+
+
+class TestTangentNumberTable:
+    def test_equals_the_defining_recurrence_up_to_500(self):
+        for k in range(501):
+            assert bernoulli(k) == recurrence_bernoulli(k), k
+
+    def test_uneven_growth_equals_one_growth(self):
+        def table_after(*steps):
+            script = (
+                "import sys\n"
+                "from towerforge.bernoulli import BernoulliTable, bernoulli\n"
+                f"for k in {steps!r}: bernoulli(k)\n"
+                "print(repr(BernoulliTable.up_to(498).values))\n"
+            )
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+            result = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+            )
+            return result.stdout
+
+        grown = table_after(5, 100, 498)
+        assert grown == table_after(498)
+        assert grown.count("Fraction(") == 499
+
+    def test_regularity_matches_the_benchmark_reference_below_500(self):
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        irregular = set(reference["irregular_below_500"])
+        primes = [p for p in range(2, 500) if is_prime(p)]
+        assert irregular and irregular <= set(primes)
+        assert [p for p in primes if not is_regular_prime(p)] == sorted(irregular)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for k in range(301):
+            expected = sympy.bernoulli(k)
+            if k == 1:
+                expected = -expected  # sympy takes B_1 = +1/2
+            assert bernoulli(k) == Fraction(int(expected.p), int(expected.q)), k

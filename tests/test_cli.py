@@ -96,6 +96,18 @@ class TestHminus:
         assert "malformed cache line 1" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_cache_line_with_an_unchecked_conductor_exits_2(self, tmp_path):
+        # the conductor is checked before the Hadamard limit it sets, so
+        # 2^(10^12) is never formed
+        (tmp_path / "cache.jsonl").write_text(
+            '{"conductor":1000000000000,"h_minus":[[2,1000000000000]],"method":"product-formula","computed_at":"t"}\n'
+            '{"conductor":4,"h_minus":[],"method":"product-formula","computed_at":"t"}\n'
+        )
+        result = run_cli(["hminus", "--p", "2", "--m", "2"], tmp_path)
+        assert result.returncode == 2
+        assert "malformed cache line 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestOrderRegular:
     def test_order(self, tmp_path):
@@ -227,6 +239,97 @@ class TestSearch:
     def test_search_empty(self, tmp_path):
         result = run_cli(["search", "--p", "3", "--m-from", "1", "--m-to", "2"], tmp_path)
         assert result.returncode == 0
+
+
+@pytest.fixture
+def cli(monkeypatch):
+    """This tree's ``towerforge.cli``, imported into this process from any cwd."""
+    monkeypatch.syspath_prepend(str(SRC))
+    from towerforge import cli
+
+    return cli
+
+
+def run_in_process(cli, args, capsys):
+    """One ``cli.main`` call in this process: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestInProcessReuse:
+    """Repeated ``main`` calls in one process share the parser and the parsed
+    cache lines; each call must still answer as a fresh process would."""
+
+    SEQUENCE = [
+        ["hminus", "--p", "2", "--m", "7", "--verify-cache"],
+        ["hminus", "--p", "2", "--m", "7"],
+        ["hminus", "--p", "3", "--m", "4", "--oracle"],
+        ["hminus", "--p", "3", "--m", "4"],
+        ["order", "--base", "2", "--mod", "21121"],
+        ["regular", "--p", "37"],
+        ["regular", "--p", "5"],
+        ["verify", "--p", "2", "--m", "7", "--h", "21121", "--json"],
+        ["verify", "--p", "2", "--m", "7", "--h", "17"],
+        ["order", "--base", "2"],
+        ["verify", "--p", "3", "--m", "4", "--h", "2593", "--json"],
+        ["kappa", "--p", "3", "--m", "1", "--elem", "1;2", "--lmax", "3"],
+        ["regular", "--p", "59"],
+    ]
+
+    def test_sequence_matches_fresh_processes(self, cli, tmp_path, capsys, monkeypatch):
+        fresh_dir = tmp_path / "fresh"
+        fresh_dir.mkdir()
+        fresh = [run_cli(args, fresh_dir) for args in self.SEQUENCE]
+        monkeypatch.setenv("TOWERFORGE_CACHE", str(tmp_path / "in-process.jsonl"))
+        reused = [run_in_process(cli, args, capsys) for args in self.SEQUENCE]
+        assert [(r.returncode, r.stdout, r.stderr) for r in fresh] == reused
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 0]
+
+    def test_bad_argv_raises_system_exit_then_the_next_call_works(self, cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["order", "--base", "2"])
+        assert exc.value.code == 2
+        assert cli.main(["order", "--base", "2", "--mod", "21121"]) == 0
+        assert capsys.readouterr().out == "10560\n"
+
+    def test_line_appended_by_store_is_seen(self, cli, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        monkeypatch.setenv("TOWERFORGE_CACHE", str(cache))
+        assert run_in_process(cli, ["hminus", "--p", "3", "--m", "1"], capsys)[0] == 0
+        assert len(cache.read_text().splitlines()) == 1
+        assert run_in_process(cli, ["hminus", "--p", "3", "--m", "1"], capsys)[0] == 0
+        assert run_in_process(cli, ["hminus", "--p", "5", "--m", "1"], capsys)[0] == 0
+        assert run_in_process(cli, ["hminus", "--p", "5", "--m", "1"], capsys)[0] == 0
+        # each conductor was computed and stored once, then served from the file
+        conductors = [json.loads(line)["conductor"] for line in cache.read_text().splitlines()]
+        assert conductors == [3, 5]
+
+    def test_rewritten_line_for_the_same_conductor_is_seen(self, cli, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        monkeypatch.setenv("TOWERFORGE_CACHE", str(cache))
+        line = '{{"conductor":81,"h_minus":[[{},1]],"method":"product-formula","computed_at":"t"}}\n'
+        cache.write_text(line.format(7))
+        assert run_in_process(cli, ["hminus", "--p", "3", "--m", "4"], capsys)[1] == "h-(Q(zeta_81)) = 7\n"
+        cache.write_text(line.format(2593))
+        assert run_in_process(cli, ["hminus", "--p", "3", "--m", "4"], capsys)[1] == "h-(Q(zeta_81)) = 2593\n"
+        cache.write_text(line.format(7))
+        assert run_in_process(cli, ["hminus", "--p", "3", "--m", "4"], capsys)[1] == "h-(Q(zeta_81)) = 7\n"
+
+    def test_malformed_interior_line_raises_on_every_load(self, cli, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        monkeypatch.setenv("TOWERFORGE_CACHE", str(cache))
+        cache.write_text(
+            '{"conductor":6,"h_minus":[],"method":"product-formula","computed_at":"t"}\n'
+            '{"conductor":81,"h_minus":[[2593,1]],"method":"product-formula","computed_at":"t"}\n'
+        )
+        for _ in range(3):
+            code, out, err = run_in_process(cli, ["hminus", "--p", "3", "--m", "4"], capsys)
+            assert (code, out) == (2, "")
+            assert "malformed cache line 1" in err
 
 
 class TestHarness:

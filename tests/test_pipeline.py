@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from towerforge.arith import FactoredInteger, factorize
+from towerforge import pipeline
+from towerforge.arith import FactoredInteger, factorize, is_prime_power
 from towerforge.criteria import Conclusion
 from towerforge.errors import CacheMismatchError
 from towerforge.pipeline import (
@@ -93,6 +94,52 @@ class TestCache:
         cache.path.write_text(f"{line}\n{valid}\n")
         with pytest.raises(ValueError, match="malformed cache line 1 in"):
             cache.load()
+
+    @pytest.mark.parametrize(
+        "conductor,factors",
+        [
+            (10**12, [[2, 10**12]]),
+            (2**40, [[2, 10**12]]),
+            (2**20 + 7, [[2, 10**12]]),
+            (6, []),
+            (2, []),
+            (1, []),
+            (-9, []),
+        ],
+        ids=["10^12", "2^40", "above-cap-prime", "not-a-prime-power", "two", "one", "negative"],
+    )
+    def test_line_with_an_invalid_conductor_raises_before_factoring(
+        self, cache, monkeypatch, conductor, factors
+    ):
+        line = json.dumps(
+            {"conductor": conductor, "h_minus": factors, "method": "product-formula", "computed_at": "t"}
+        )
+        valid = CacheEntry(4, factorize(1), "t", "product-formula").to_json_line()
+        cache.path.write_text(f"{line}\n{valid}\n")
+        factored = []
+        monkeypatch.setattr(
+            pipeline, "is_prime_power", lambda n: factored.append(n) or is_prime_power(n)
+        )
+        with pytest.raises(ValueError, match="malformed cache line 1 in"):
+            cache.load()
+        # the cap is compared before anything is factored
+        assert factored == ([conductor] if 3 <= conductor <= 2**20 else [])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            CacheEntry(6, FactoredInteger(1, ()), "t", "product-formula"),
+            CacheEntry(2**21, FactoredInteger(1, ()), "t", "product-formula"),
+            CacheEntry(4, FactoredInteger(2**100, ((2, 100),)), "t", "product-formula"),
+        ],
+        ids=["not-a-prime-power", "above-cap", "above-hadamard-bound"],
+    )
+    def test_store_refuses_a_line_load_would_reject(self, cache, entry):
+        cache.store(CacheEntry(4, factorize(1), "t", "product-formula"))
+        before = cache.path.read_bytes()
+        with pytest.raises(ValueError):
+            cache.store(entry)
+        assert cache.path.read_bytes() == before
 
     def test_every_factored_reference_value_loads(self, cache):
         reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
