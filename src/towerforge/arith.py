@@ -1,9 +1,9 @@
 """Exact integer arithmetic: primality, factorization, totient, multiplicative order.
 
-Everything here is deterministic. Primality uses a fixed Miller-Rabin base set
-that is proven complete below 3.3e24, far above any integer this package ever
-certifies, and inputs beyond that bound are rejected rather than accepted
-probabilistically.
+Everything here is deterministic. Primality up to 10^4 is read from a sieve of
+Eratosthenes; above that it uses a fixed Miller-Rabin base set that is proven
+complete below 3.3e24, far above any integer this package ever certifies, and
+inputs beyond that bound are rejected rather than accepted probabilistically.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ _TRIAL_BOUND = 10_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 3.3e24."""
+    """Deterministic primality test for 0 <= n < 3.3e24.
+
+    Up to the trial bound the answer is a lookup in the sieve of Eratosthenes;
+    above it, Miller-Rabin on a base set proven complete below the bound.
+    """
     if n >= _MR_BOUND:
         raise ValueError(f"{n} exceeds the deterministic certification bound {_MR_BOUND}")
-    if n < 2:
-        return False
+    if n <= _TRIAL_BOUND:
+        return n >= 2 and _trial_sieve()[n] == 1
     for p in _MR_BASES:
-        if n == p:
-            return True
         if n % p == 0:
             return False
     d = n - 1
@@ -131,13 +133,19 @@ def _pollard_brent(n: int, c: int, budget: int) -> tuple[int | None, int]:
 
 
 @cache
-def _trial_primes() -> tuple[int, tuple[int, ...]]:
-    """The product of the primes up to the trial bound, and those primes."""
-    sieve = bytearray([1]) * (_TRIAL_BOUND + 1)
+def _trial_sieve() -> bytes:
+    """sieve[n] = 1 exactly when n <= the trial bound is prime (Eratosthenes)."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (_TRIAL_BOUND - 1)
     for i in range(2, isqrt(_TRIAL_BOUND) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
-    primes = tuple(d for d in range(2, _TRIAL_BOUND + 1) if sieve[d])
+    return bytes(sieve)
+
+
+@cache
+def _trial_primes() -> tuple[int, tuple[int, ...]]:
+    """The product of the primes up to the trial bound, and those primes."""
+    primes = tuple(d for d, flag in enumerate(_trial_sieve()) if flag)
     return prod(primes), primes
 
 

@@ -10,12 +10,20 @@ recomputed from scratch two independent ways, both in integers only:
   characters, one representative each, enumerated from the structure of the
   unit group. A representative of order d has the integer weight polynomial
   W = sum_a a x^{k(a)}, where chi(a) = zeta_d^{k(a)}, so qB(chi) = W(zeta_d)
-  and the orbit contributes N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d). The
-  kernel ``primitive_root_product`` computes Res(Phi_d, W) = prod W(zeta_d^j)
-  over j in (Z/d)^* modulo certified primes l = 1 (mod d) and recombines the
-  residues by CRT until the modulus exceeds twice the Parseval/AM-GM bound
-  (d sum w_i^2 / phi(d))^{phi(d)/2}. Since the phi(d) add up to phi(q)/2,
-  h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact integer division.
+  and the orbit contributes N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d)
+  (Washington, Introduction to Cyclotomic Fields, Thm 4.17). The kernel
+  ``primitive_root_product`` computes Res(Phi_d, W) = prod W(zeta_d^j) over
+  j in (Z/d)^*. Every d here is p^a e with e | p - 1, so it first takes exact
+  relative norms down the tower Q(zeta_d) > Q(zeta_{d/p}) > ... to the
+  squarefree level rad(d), where Gal(Q(zeta_d)/Q(zeta_{d/r})), r^2 | d, is
+  {x -> x^(1 + k d/r)} and the norm is read off Z[x^r]. For p = 2 that ends
+  at Q and is exact. Otherwise it evaluates modulo certified primes
+  l = 1 (mod rad(d)) and recombines the residues by CRT until the modulus
+  exceeds twice the Parseval/AM-GM bound (d sum w_i^2 / phi(d))^{phi(d)/2} of
+  the original W, since the norm is the same integer. The weights come
+  straight from each unit's generator exponents: chi(g_i) = zeta_d^(k_i d/s_i).
+  Since the phi(d) add up to phi(q)/2, h^- = w * prod Res / (-2q)^{phi(q)/2},
+  one exact integer division.
 
 * determinant oracle: no characters at all. Over a half-system a_1..a_n of
   units mod q (one from each pair {a, -a}), the matrix with entries
@@ -50,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import FactoredInteger, euler_phi, factorize, is_prime
 from .cyclotomic import integer_det, primitive_root_product
@@ -175,10 +184,17 @@ def characters_mod(p: int, m: int) -> list[DirichletCharacter]:
 
 
 def _weights(chi: DirichletCharacter) -> list[int]:
-    """w_0..w_{d-1} of W = sum_{a unit mod q} a x^{k(a)}, where chi(a) = zeta_d^{k(a)}."""
-    weights = [0] * chi.order
-    for a in chi.group.dlog:
-        weights[chi.value_exponent(a)] += a
+    """w_0..w_{d-1} of W = sum_{a unit mod q} a x^{k(a)}, where chi(a) = zeta_d^{k(a)}.
+
+    chi(g_i) = zeta_{s_i}^{k_i} = zeta_d^{k_i d / s_i}, an integer exponent
+    since that root has order dividing d, so a = prod g_i^{x_i} has
+    k(a) = sum x_i k_i d / s_i (mod d), read from the dlog table directly.
+    """
+    d = chi.order
+    steps = [k * d // s for k, s in zip(chi.generator_images, chi.group.orders)]
+    weights = [0] * d
+    for a, exps in chi.group.dlog.items():
+        weights[sum(map(mul, exps, steps)) % d] += a
     return weights
 
 

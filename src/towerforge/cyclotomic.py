@@ -7,8 +7,13 @@ remaindering until the modulus exceeds twice a proven bound, then the
 symmetric lift. ``integer_det`` (it serves the h^- determinant oracle)
 eliminates over F_l with each row packed into one int, under Hadamard's bound
 or a tighter one the caller proves. ``primitive_root_product`` is the norm of
-W(zeta_d), from one transform mod l per prime, under a Parseval/AM-GM bound.
-Neither uses anything but integers.
+W(zeta_d). It first descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in
+exact integers, one relative norm (a product of r Galois conjugates) per
+repeated prime factor r, down to the squarefree level rad(d) (the field-norm
+descent of Pornin and Prest, PKC 2019). There, one transform mod l per prime
+finishes it under a Parseval/AM-GM bound proved for the original W; at
+rad(d) <= 2 the descent alone is exact and no prime is drawn. Neither kernel
+uses anything but integers.
 """
 
 from __future__ import annotations
@@ -41,15 +46,15 @@ def _poly_divmod_monic(num: list, den) -> tuple[list, list]:
     """Divide by a monic polynomial; exact over Z when num is integral."""
     num = list(num)
     dd = len(den) - 1
+    terms = [(i, c) for i, c in enumerate(den[:dd]) if c]
     quo = [0] * max(0, len(num) - dd)
-    while num and len(num) - 1 >= dd:
-        c = num[-1]
-        k = len(num) - 1 - dd
-        quo[k] = c
-        for i in range(dd + 1):
-            num[k + i] -= c * den[i]
-        _trim(num)
-    return quo, num
+    for k in range(len(quo) - 1, -1, -1):
+        c = num[k + dd]
+        if c:
+            quo[k] = c
+            for i, t in terms:
+                num[k + i] -= c * t
+    return quo, _trim(num[:dd])
 
 
 _cyclo_cache: dict[int, tuple[int, ...]] = {}
@@ -193,6 +198,31 @@ def _dft(coeffs: list[int], powers: list[int], ell: int, radices: list[int]) -> 
     return [v % ell for v in values]
 
 
+def _relative_norm(f: list, d: int, r: int) -> list:
+    """The norm of f(zeta_d) down to Q(zeta_{d/r}), as a polynomial in zeta_{d/r}; r^2 | d.
+
+    f is reduced mod Phi_d and so is the result, mod Phi_{d/r}. Since r^2 | d,
+    (1 + d/r)^k = 1 + k d/r (mod d), so the r maps x -> x^(1 + k d/r),
+    0 <= k < r, are the subgroup of (Z/d)^* that fixes zeta_d^r: the Galois
+    group of Q(zeta_d) over Q(zeta_{d/r}). Each conjugate is an exponent
+    permutation mod d, reduced mod Phi_d, and their product is reduced mod Phi_d
+    after each step. The norm lies in Z[zeta_d^r], and Phi_d(x) = Phi_{d/r}(x^r)
+    has degree r phi(d/r), so the reduced product is h(x^r) with h reduced mod
+    Phi_{d/r}: every r-th coefficient, and only those, may be nonzero.
+    """
+    phi = cyclo_poly(d)
+    norm = f
+    for k in range(1, r):
+        e = 1 + k * (d // r)
+        conjugate = [0] * d
+        for i, c in enumerate(f):
+            conjugate[i * e % d] = c
+        conjugate = _poly_divmod_monic(conjugate, phi)[1]
+        norm = _poly_divmod_monic(_poly_mul(norm, conjugate), phi)[1]
+    assert not any(c for i, c in enumerate(norm) if i % r)
+    return norm[::r]
+
+
 def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     """prod W(zeta_d^j) over j in (Z/d)^*, where W = sum_i weights[i] x^i; exact.
 
@@ -200,15 +230,22 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     this is Res(Phi_d, W), the norm N of W(zeta_d) from Q(zeta_d) to Q. As
     zeta_d^d = 1, W may have any length: it is folded to w_0..w_{d-1} first.
 
-    Residues. Take a prime l = 1 (mod d) and omega in F_l of exact order d.
-    omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some Phi_e with
-    e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring map
-    Z[zeta_d] -> F_l. N = prod_j W(zeta_d^j) holds in Z[zeta_d], so
-    N = prod_j W(omega^j) (mod l). One mixed-radix transform mod l gives all
-    d values W(omega^j). Every l lies below the deterministic Miller-Rabin
+    Descent. W is reduced mod Phi_d to f. While some prime r has r^2 | d, f is
+    replaced by its norm to Q(zeta_{d/r}) (``_relative_norm``) and d by d/r;
+    norms compose along the tower, so N is unchanged. Everything stays in Z
+    and d ends at its radical. If that is 1 or 2, Q(zeta_d) = Q and N is the
+    constant left: no prime is needed.
+
+    Residues. Otherwise take a prime l = 1 (mod d) and omega in F_l of exact
+    order d. omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some
+    Phi_e with e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring
+    map Z[zeta_d] -> F_l. N = prod_j f(zeta_d^j) holds in Z[zeta_d], so
+    N = prod_j f(omega^j) (mod l). One mixed-radix transform mod l gives all
+    d values f(omega^j). Every l lies below the deterministic Miller-Rabin
     bound and is certified by ``is_prime``.
 
-    Bound. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)
+    Bound. It is proved for the original d and folded W, since N is the same
+    integer. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)
     = 0, so subtracting one integer c from every w_i leaves each W(zeta_d^j)
     unchanged; c is the floor of the mean weight, or 0 when d = 1. Let
     v_j = sum_i (w_i - c) zeta_d^(ij) for j in Z/d and S = sum_i (w_i - c)^2.
@@ -223,22 +260,31 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     folded = [0] * d
     for i, c in enumerate(weights):
         folded[i % d] += c
-    units = [j for j in range(d) if gcd(j, d) == 1]
-    phi = len(units)
     factors = factorize(d).factors
-    radices = [r for r, e in factors for _ in range(e)]
+    phi = prod((r - 1) * r ** (e - 1) for r, e in factors)
     shift = sum(folded) // d if d > 1 else 0
     limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi
 
+    f = _poly_divmod_monic(folded, cyclo_poly(d))[1]
+    for r, e in factors:
+        for _ in range(e - 1):
+            f = _relative_norm(f, d, r)
+            d //= r
+    if d <= 2:
+        return f[0] if f else 0
+    f += [0] * (d - len(f))
+    units = [j for j in range(d) if gcd(j, d) == 1]
+    radices = [r for r, _ in factors]
+
     def residue(ell: int) -> int:
         g = 2  # g^((l-1)/d) has exact order d iff no g^((l-1)/r), r | d, is 1
-        while any(pow(g, (ell - 1) // r, ell) == 1 for r, _ in factors):
+        while any(pow(g, (ell - 1) // r, ell) == 1 for r in radices):
             g += 1
         omega = pow(g, (ell - 1) // d, ell)
         powers = [1] * d
         for j in range(1, d):
             powers[j] = powers[j - 1] * omega % ell
-        values = _dft(folded, powers, ell, radices)
+        values = _dft(f, powers, ell, radices)
         result = 1
         for j in units:
             result = result * values[j] % ell

@@ -18,7 +18,7 @@ from math import prod
 from pathlib import Path
 
 from .arith import FactoredInteger, is_prime_power
-from .characters import relative_class_number
+from .characters import _validated_conductor, relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import CacheMismatchError, FactorizationError
 
@@ -160,8 +160,12 @@ def cached_relative_class_number(
     verify: bool = False,
     rho_budget: int = 2_000_000,
 ) -> FactoredInteger:
-    """h^- through the cache; verify=True recomputes and cross-checks regardless."""
-    conductor = p**m
+    """h^- through the cache; verify=True recomputes and cross-checks regardless.
+
+    p and m are validated before the lookup, so a cached conductor answers
+    exactly the (p, m) that would compute it.
+    """
+    conductor = _validated_conductor(p, m)
     entry = cache.lookup(conductor) if cache is not None else None
     if entry is not None and not verify:
         return entry.h_minus

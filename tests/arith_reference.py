@@ -1,4 +1,7 @@
-"""Reference oracle for factorize: trial division by a wheel loop.
+"""Reference oracles for is_prime and factorize: Miller-Rabin alone, and a wheel loop.
+
+The package answers is_prime for n up to the trial bound from a sieve;
+``miller_rabin`` is the earlier test that ran the 13 bases on every n.
 
 The package finds the prime factors below the trial bound with one gcd
 against the product of those primes. This earlier version steps a wheel
@@ -11,8 +14,42 @@ from __future__ import annotations
 
 from math import isqrt
 
-from towerforge.arith import _MR_BOUND, _TRIAL_BOUND, FactoredInteger, _pollard_brent, is_prime
+from towerforge.arith import (
+    _MR_BASES,
+    _MR_BOUND,
+    _TRIAL_BOUND,
+    FactoredInteger,
+    _pollard_brent,
+    is_prime,
+)
 from towerforge.errors import FactorizationError
+
+
+def miller_rabin(n: int) -> bool:
+    """Deterministic Miller-Rabin on the 13 base primes, for 0 <= n < 3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def wheel_factorize(n: int, *, rho_budget: int = 2_000_000) -> FactoredInteger:

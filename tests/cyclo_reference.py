@@ -14,7 +14,16 @@ from fractions import Fraction
 from math import lcm
 
 from towerforge.characters import DirichletCharacter, _weights
-from towerforge.cyclotomic import _poly_divmod_monic, _poly_mul, _trim, cyclo_poly
+from towerforge.cyclotomic import _poly_divmod_monic, _trim, cyclo_poly
+
+
+def poly_mul(a: list, b: list) -> list:
+    """a * b term by term, for integer or Fraction coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -134,7 +143,7 @@ class CycloElement:
         if isinstance(other, (int, Fraction)):
             return CycloElement(self.conductor, [a * other for a in self.coeffs])
         self._check_compatible(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
+        prod = poly_mul(list(self.coeffs), list(other.coeffs))
         return CycloElement(self.conductor, prod)
 
     __rmul__ = __mul__
@@ -189,7 +198,7 @@ class CycloElement:
             q, r = _poly_divmod_monic(r0, monic_r1)
             q = [c / lead for c in q]
             r0, r1 = r1, _trim(r)
-            qs = _poly_mul(q, s1)
+            qs = poly_mul(q, s1)
             new_s = [Fraction(0)] * max(len(s0), len(qs))
             for i, c in enumerate(s0):
                 new_s[i] += c

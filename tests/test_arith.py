@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 import arith_reference
-from arith_reference import wheel_factorize
+from arith_reference import miller_rabin, wheel_factorize
 from towerforge import arith
 from towerforge.arith import (
     FactoredInteger,
@@ -44,6 +44,21 @@ class TestIsPrime:
         flags = sieve(10_000)
         for n in range(10_000):
             assert is_prime(n) == flags[n], n
+
+    def test_sieve_lookup_matches_miller_rabin(self):
+        for n in range(-3, arith._TRIAL_BOUND + 100):
+            assert is_prime(n) == miller_rabin(n), n
+
+    def test_no_exponentiation_up_to_the_trial_bound(self, monkeypatch):
+        def no_pow(*args):
+            raise AssertionError(f"pow{args} called")
+
+        monkeypatch.setattr(arith, "pow", no_pow, raising=False)
+        assert [n for n in range(arith._TRIAL_BOUND + 1) if is_prime(n)] == list(
+            arith._trial_primes()[1]
+        )
+        with pytest.raises(AssertionError):
+            is_prime(arith._TRIAL_BOUND + 1)
 
     def test_known_large(self):
         assert is_prime(2**31 - 1)

@@ -17,6 +17,7 @@ from towerforge.arith import euler_phi, is_prime
 from towerforge.characters import (
     _bordered_system,
     _odd_orbit_representatives,
+    _weights,
     characters_mod,
     hminus_determinant,
     hminus_product,
@@ -144,6 +145,23 @@ class TestGenBernoulli:
         (trivial,) = [c for c in characters_mod(3, 1) if c.order == 1]
         b = gen_bernoulli_b1(trivial)
         assert b.is_rational() and b.rational_value() == 1
+
+    def test_weights_match_value_exponent(self):
+        # every character of the small moduli and the odd-orbit representatives
+        # of the largest swept conductors, against one value_exponent call per unit
+        chars = []
+        for p, m in ((2, 2), (2, 5), (3, 3), (5, 2), (7, 2), (2, 11), (3, 6), (5, 4), (7, 3)):
+            every = characters_mod(p, m)
+            if p**m <= 100:
+                chars += every
+            else:
+                reps = set(_odd_orbit_representatives(every[0].group))
+                chars += [c for c in every if c.generator_images in reps]
+        for chi in chars:
+            expected = [0] * chi.order
+            for a in chi.group.dlog:
+                expected[chi.value_exponent(a)] += a
+            assert _weights(chi) == expected, (chi.modulus, chi.generator_images)
 
     def test_galois_equivariance(self):
         # B(chi^t) is the image of B(chi) under zeta_d -> zeta_d^t

@@ -108,6 +108,16 @@ class TestHminus:
         assert "malformed cache line 1" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_non_prime_p_exits_2_whether_or_not_its_conductor_is_cached(self, tmp_path):
+        empty = run_cli(["hminus", "--p", "4", "--m", "1"], tmp_path)
+        assert run_cli(["hminus", "--p", "2", "--m", "2"], tmp_path).returncode == 0
+        assert json.loads((tmp_path / "cache.jsonl").read_text())["conductor"] == 4
+        cached = run_cli(["hminus", "--p", "4", "--m", "1"], tmp_path)
+        for result in (empty, cached):
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr == "error: 4 is not prime\n"
+
 
 class TestOrderRegular:
     def test_order(self, tmp_path):

@@ -4,28 +4,23 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+from math import gcd
 
 import pytest
 
-from cyclo_reference import CycloElement, bareiss_det, cyclo_norm, resultant
+from cyclo_reference import CycloElement, bareiss_det, cyclo_norm, poly_mul, resultant
 
 from towerforge import cyclotomic
 from towerforge.arith import _MR_BOUND, euler_phi, is_prime
 from towerforge.cyclotomic import (
     _crt_primes,
     _det_mod,
+    _poly_divmod_monic,
+    _relative_norm,
     cyclo_poly,
     integer_det,
     primitive_root_product,
 )
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def naive_det(m):
@@ -84,6 +79,19 @@ class TestCycloPoly:
     def test_invalid(self):
         with pytest.raises(ValueError):
             cyclo_poly(0)
+
+
+class TestPolyKernels:
+    def test_divmod_monic(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            den = [rng.choice((0, 0, 1, -1, 2)) for _ in range(rng.randrange(0, 6))] + [1]
+            num = [rng.randrange(-50, 51) for _ in range(rng.randrange(0, 20))]
+            quo, rem = _poly_divmod_monic(num, den)
+            assert len(rem) < len(den) and (not rem or rem[-1] != 0)
+            back = poly_mul(quo, den) if quo else []
+            back = [x + (rem[i] if i < len(rem) else 0) for i, x in enumerate(back + [0] * len(num))]
+            assert back[: len(num)] == num and not any(back[len(num) :])
 
 
 class TestIntegerDet:
@@ -185,6 +193,21 @@ SWEEP_ORBIT_ORDERS = (
 )
 
 
+def test_product_equals_the_sylvester_resultant():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        st.sampled_from(SWEEP_ORBIT_ORDERS),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+    )
+    def check(d, w):
+        assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w)
+
+    check()
+
+
 class TestPrimitiveRootProduct:
     def test_against_sylvester_resultant(self):
         # Full-length vectors up to d = 128; above that the Sylvester matrix
@@ -227,25 +250,67 @@ class TestPrimitiveRootProduct:
             assert all(ell % d == 1 and ell < _MR_BOUND and is_prime(ell) for ell in primes)
 
     def test_crt_primes_are_certified_once_per_d(self, monkeypatch):
+        # 294 = 2 * 3 * 7^2 descends to its radical 42, where the primes are drawn
         calls = []
         monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
         monkeypatch.setattr(cyclotomic, "is_prime", lambda n: calls.append(n) or is_prime(n))
-        weights = list(range(1, 130))
-        first = primitive_root_product(128, weights)
+        weights = list(range(1, 296))
+        first = primitive_root_product(294, weights)
         assert calls
+        assert list(cyclotomic._crt_prime_cache) == [42]
         calls.clear()
-        assert primitive_root_product(128, weights) == first
+        assert primitive_root_product(294, weights) == first
         assert calls == []
         # a longer walk resumes below the last prime found and matches a fresh search
-        known = list(cyclotomic._crt_prime_cache[128])
-        longer = list(islice(_crt_primes(128), len(known) + 2))
+        known = list(cyclotomic._crt_prime_cache[42])
+        longer = list(islice(_crt_primes(42), len(known) + 2))
         assert longer[:-2] == known
         assert calls and max(calls) < known[-1]
-        assert longer == list(islice(_fresh_crt_primes(128), len(longer)))
+        assert longer == list(islice(_fresh_crt_primes(42), len(longer)))
+
+    def test_powers_of_two_finish_without_a_prime(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+        monkeypatch.setattr(cyclotomic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        rng = random.Random(59)
+        for k in range(10):
+            d = 2**k
+            w = [rng.randrange(-9, 10) for _ in range(d if d <= 128 else 6)]
+            if d <= 256:
+                assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w), d
+            assert primitive_root_product(d, list(range(1, d + 1))) != 0
+        assert calls == []
+        assert cyclotomic._crt_prime_cache == {}
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             primitive_root_product(0, [1])
+
+
+class TestRelativeNorm:
+    @pytest.mark.parametrize(
+        "d, r",
+        [(8, 2), (18, 3), (50, 5), (98, 7), (54, 3), (100, 2), (100, 5), (294, 7),
+         (486, 3), (500, 2), (500, 5), (512, 2)],
+    )
+    def test_product_of_conjugates(self, d, r):
+        # Gal(Q(zeta_d)/Q(zeta_{d/r})) is the kernel of (Z/d)^* -> (Z/(d/r))^*
+        rng = random.Random(d * r)
+        f = [rng.randrange(-3, 4) for _ in range(euler_phi(d))]
+        group = [j for j in range(1, d) if gcd(j, d) == 1 and j % (d // r) == 1]
+        assert len(group) == r
+        expected = CycloElement.from_rational(1, d)
+        for j in group:
+            conjugate = [0] * d
+            for i, c in enumerate(f):
+                conjugate[i * j % d] += c
+            expected = expected * CycloElement(d, conjugate)
+        norm = _relative_norm(f, d, r)
+        assert len(norm) <= euler_phi(d // r)
+        assert CycloElement(d // r, norm).lift_to(d) == expected
+
+    def test_zero(self):
+        assert _relative_norm([], 8, 2) == []
 
 
 def _fresh_crt_primes(d):

@@ -160,6 +160,12 @@ class TestCache:
         # a second call is served from the cache (same object content)
         assert cached_relative_class_number(2, 7, cache) == value
 
+    def test_non_prime_p_is_rejected_before_the_lookup(self, cache):
+        cache.store(CacheEntry(4, factorize(1), "t", "product-formula"))
+        with pytest.raises(ValueError, match="4 is not prime"):
+            cached_relative_class_number(4, 1, cache)
+        assert cached_relative_class_number(2, 2, cache).value == 1
+
     def test_poisoned_cache_detected_in_verify_mode(self, cache):
         poisoned = FactoredInteger(359063, ((359063, 1),))
         cache.store(CacheEntry(128, poisoned, "t", "product-formula"))
