@@ -17,9 +17,7 @@ from .arith import (
 )
 from .bernoulli import BernoulliTable, bernoulli, is_regular_prime
 from .characters import (
-    DirichletCharacter,
     RelClassNumber,
-    characters_mod,
     hminus_determinant,
     hminus_product,
     relative_class_number,

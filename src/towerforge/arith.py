@@ -190,9 +190,11 @@ def factorize(n: int, *, rho_budget: int = 2_000_000) -> FactoredInteger:
         if m == 1:
             continue
         if m >= _MR_BOUND:
-            raise FactorizationError(
-                f"cofactor {m} exceeds the deterministic primality bound"
-            )
+            try:
+                name = str(m)
+            except ValueError:  # more digits than int-to-str converts
+                name = f"of {m.bit_length()} bits"
+            raise FactorizationError(f"cofactor {name} exceeds the deterministic primality bound")
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

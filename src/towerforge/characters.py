@@ -1,4 +1,4 @@
-"""Dirichlet characters of prime-power modulus and relative class numbers.
+"""Relative class numbers of prime-power cyclotomic fields, two independent ways.
 
 The relative class number h^- of the cyclotomic field of conductor q = p^m is
 recomputed from scratch two independent ways, both in integers only:
@@ -6,24 +6,44 @@ recomputed from scratch two independent ways, both in integers only:
 * product formula: h^- = Q * w * prod_{chi odd} (-B(chi)/2), where
   B(chi) = (1/q) sum_a chi(a) a over units a mod q, w is the number of roots
   of unity in the field (q for even q, 2q for odd q) and the unit index Q is 1
-  for prime-power conductor. The product is grouped into Galois orbits of
-  characters, one representative each, enumerated from the structure of the
-  unit group. A representative of order d has the integer weight polynomial
-  W = sum_a a x^{k(a)}, where chi(a) = zeta_d^{k(a)}, so qB(chi) = W(zeta_d)
-  and the orbit contributes N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d)
-  (Washington, Introduction to Cyclotomic Fields, Thm 4.17). The kernel
-  ``primitive_root_product`` computes Res(Phi_d, W) = prod W(zeta_d^j) over
-  j in (Z/d)^*. Every d here is p^a e with e | p - 1, so it first takes exact
-  relative norms down the tower Q(zeta_d) > Q(zeta_{d/p}) > ... to the
-  squarefree level rad(d), where Gal(Q(zeta_d)/Q(zeta_{d/r})), r^2 | d, is
-  {x -> x^(1 + k d/r)} and the norm is read off Z[x^r]. For p = 2 that ends
-  at Q and is exact. Otherwise it evaluates modulo certified primes
-  l = 1 (mod rad(d)) and recombines the residues by CRT until the modulus
-  exceeds twice the Parseval/AM-GM bound (d sum w_i^2 / phi(d))^{phi(d)/2} of
-  the original W, since the norm is the same integer. The weights come
-  straight from each unit's generator exponents: chi(g_i) = zeta_d^(k_i d/s_i).
-  Since the phi(d) add up to phi(q)/2, h^- = w * prod Res / (-2q)^{phi(q)/2},
-  one exact integer division.
+  for prime-power conductor (Washington, Introduction to Cyclotomic Fields,
+  Thm 4.17). The product is grouped into Galois orbits of odd characters. If
+  an orbit's members take values in mu_d and W is an integer polynomial with
+  W(zeta_d) = q B(chi) for one member chi, the orbit contributes
+  N(-B(chi)/2) = Res(Phi_d, W)/(-2q)^phi(d). No character is built: every W
+  is one list V of integers per conductor, folded mod d.
+
+  Odd p. (Z/q)^* is cyclic on the least primitive root g, and
+  chi(g) = zeta_phi(q)^k is odd iff k is odd, since -1 = g^(phi(q)/2). The
+  orbit of chi_k is fixed by gcd(k, phi(q)), so the orbits are the odd
+  k | phi(q), of order d = phi(q)/k, with representative chi(g^x) = zeta_d^x.
+  Its W is V = [g^x mod q for x < phi(q)] folded mod d: w_j is the sum of the
+  g^x with x = j (mod d), the character's own weight vector. The kernel's
+  bound is proved for the folded W, so it and the primes it draws are those
+  of the weights. The half list of the p = 2 case would serve here too (chi
+  is odd), but its entries 2h - q have both signs, so its folded weights
+  spread further from their mean and the bound is looser: 4-6 % more bits
+  at 191, 343, 467, 625, 683 and 729.
+
+  p = 2. (Z/q)^* = {+-1} x H with H = {5^y mod q : y < q/4}, a half system.
+  An odd chi has chi(-h) = -chi(h) and -h = q - h (mod q), so
+  sum_a chi(a) a = sum_{h in H} chi(h) (2h - q). Odd characters are fixed by
+  chi(5) = zeta_{q/4}^k, any k; the orbit is fixed by gcd(k, q/4), so the
+  orbits are the d | q/4, with chi(5^y) = zeta_d^y, and W is
+  V = [2h - q for h = 5^y mod q, y < q/4] folded mod d. (d = 1 is the single
+  quadratic odd character, whose orbit norm W(1) = Res(Phi_1, W).)
+
+  The kernel ``primitive_root_product`` computes Res(Phi_d, W) =
+  prod W(zeta_d^j) over j in (Z/d)^*. Every d here is p^a e with e | p - 1,
+  so it first takes exact relative norms down the tower
+  Q(zeta_d) > Q(zeta_{d/p}) > ... to the squarefree level rad(d), where
+  Gal(Q(zeta_d)/Q(zeta_{d/r})), r^2 | d, is {x -> x^(1 + k d/r)} and the norm
+  is read off Z[x^r]. For p = 2 that ends at Q and is exact. Otherwise it
+  evaluates modulo certified primes l = 1 (mod rad(d)) and recombines the
+  residues by CRT until the modulus exceeds twice the Parseval/AM-GM bound
+  (d sum w_i^2 / phi(d))^{phi(d)/2} of the original W, since the norm is the
+  same integer. Since the phi(d) add up to phi(q)/2,
+  h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact integer division.
 
 * determinant oracle: no characters at all. Over a half-system a_1..a_n of
   units mod q (one from each pair {a, -a}), the matrix with entries
@@ -48,32 +68,16 @@ recomputed from scratch two independent ways, both in integers only:
   into one int, until their product exceeds twice the square root of this
   bound. At q = 343 that gives |det B| < 2^276, where Hadamard on M alone
   gives 2^1651: 4 primes do instead of 21.
-
-Character values are held as exponents on fixed generators; each character
-carries the unit-group structure they refer to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product as iter_product
-from math import gcd, lcm, prod
-from operator import mul
+from dataclasses import dataclass
+from math import gcd, prod
 
 from .arith import FactoredInteger, euler_phi, factorize, is_prime
 from .cyclotomic import integer_det, primitive_root_product
 from .errors import BudgetExceededError, IntegralityError
-
-
-@dataclass(frozen=True)
-class _UnitGroup:
-    """Structure of (Z/q)^* for prime-power q: fixed generators and dlog table."""
-
-    modulus: int
-    gens: tuple[int, ...]
-    orders: tuple[int, ...]
-    exponent: int
-    dlog: dict[int, tuple[int, ...]]
 
 
 def _primitive_root(p: int, m: int) -> int:
@@ -89,130 +93,19 @@ def _primitive_root(p: int, m: int) -> int:
     raise AssertionError("no primitive root found for an odd prime power")
 
 
-def _unit_group(q: int, p: int, m: int) -> _UnitGroup:
-    if p == 2:
-        # (Z/4)^* is cyclic on -1; for 2^m, m >= 3, fix the generators -1 and 5.
-        if m == 2:
-            gens, orders = (q - 1,), (2,)
-        else:
-            gens, orders = (q - 1, 5), (2, 2 ** (m - 2))
-    else:
-        gens, orders = (_primitive_root(p, m),), (euler_phi(q),)
-    dlog: dict[int, tuple[int, ...]] = {}
-    for exps in iter_product(*(range(s) for s in orders)):
-        a = 1
-        for g, e in zip(gens, exps):
-            a = a * pow(g, e, q) % q
-        dlog[a] = exps
-    assert len(dlog) == euler_phi(q)
-    return _UnitGroup(q, gens, orders, lcm(*orders), dlog)
+def _validated_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def _validated_conductor(p: int, m: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _validated_prime(p)
     if m < 1:
         raise ValueError("m must be >= 1")
     q = p**m
     if q <= 2:
         raise ValueError(f"conductor {q} has no odd characters; h^- is trivially 1")
     return q
-
-
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """Character of (Z/q)^*, q a prime power, as exponents on fixed generators.
-
-    chi(g_i) = zeta_{s_i}^{generator_images[i]} where s_i is the order of the
-    i-th generator. ``order`` is the order of chi in the character group and
-    ``parity`` is chi(-1) in {+1, -1}. ``group`` is the unit-group structure
-    the images refer to; it travels with the character, pickling included.
-    """
-
-    modulus: int
-    generator_images: tuple[int, ...]
-    order: int
-    parity: int
-    group: _UnitGroup = field(compare=False, repr=False)
-
-    @property
-    def is_odd(self) -> bool:
-        return self.parity == -1
-
-    def value_exponent(self, a: int) -> int:
-        """Exponent k with chi(a) = zeta_order^k, for a coprime to the modulus."""
-        group = self.group
-        exps = group.dlog.get(a % self.modulus)
-        if exps is None:
-            raise ValueError(f"{a} is not a unit mod {self.modulus}")
-        big = group.exponent
-        t = 0
-        for x, k, s in zip(exps, self.generator_images, group.orders):
-            t += x * k * (big // s)
-        t %= big
-        num = t * self.order
-        assert num % big == 0
-        return num // big
-
-    def __pow__(self, t: int) -> "DirichletCharacter":
-        images = tuple(k * t % s for k, s in zip(self.generator_images, self.group.orders))
-        return _make_character(self.group, images)
-
-
-def _make_character(group: _UnitGroup, images: tuple[int, ...]) -> DirichletCharacter:
-    order = 1
-    for k, s in zip(images, group.orders):
-        order = lcm(order, s // gcd(s, k))
-    minus_one = group.dlog[group.modulus - 1]
-    big = group.exponent
-    t = sum(x * k * (big // s) for x, k, s in zip(minus_one, images, group.orders)) % big
-    assert t in (0, big // 2)
-    parity = 1 if t == 0 else -1
-    return DirichletCharacter(group.modulus, images, order, parity, group)
-
-
-def characters_mod(p: int, m: int) -> list[DirichletCharacter]:
-    """All phi(p^m) characters of (Z/p^m)^*, in lexicographic image order."""
-    q = _validated_conductor(p, m)
-    group = _unit_group(q, p, m)
-    chars = [
-        _make_character(group, images)
-        for images in iter_product(*(range(s) for s in group.orders))
-    ]
-    assert sum(1 for c in chars if c.is_odd) == len(chars) // 2
-    return chars
-
-
-def _weights(chi: DirichletCharacter) -> list[int]:
-    """w_0..w_{d-1} of W = sum_{a unit mod q} a x^{k(a)}, where chi(a) = zeta_d^{k(a)}.
-
-    chi(g_i) = zeta_{s_i}^{k_i} = zeta_d^{k_i d / s_i}, an integer exponent
-    since that root has order dividing d, so a = prod g_i^{x_i} has
-    k(a) = sum x_i k_i d / s_i (mod d), read from the dlog table directly.
-    """
-    d = chi.order
-    steps = [k * d // s for k, s in zip(chi.generator_images, chi.group.orders)]
-    weights = [0] * d
-    for a, exps in chi.group.dlog.items():
-        weights[sum(map(mul, exps, steps)) % d] += a
-    return weights
-
-
-def _odd_orbit_representatives(group: _UnitGroup) -> list[tuple[int, ...]]:
-    """Generator images of one odd character from each Galois orbit.
-
-    Cyclic group of order s: chi_k(g) = zeta_s^k is odd iff k is odd, and its
-    orbit is fixed by gcd(k, s), so the odd divisors k of s represent the odd
-    orbits. 2^m with m >= 3, on the generators (-1, 5): chi is odd iff its image
-    on -1 is 1, and the orbit of (1, b) is fixed by the 2-adic valuation of b
-    (or b = 0). Each representative is the lexicographically smallest member of
-    its orbit.
-    """
-    if len(group.orders) == 1:
-        (s,) = group.orders
-        return [(k,) for k in range(1, s, 2) if s % k == 0]
-    _, s = group.orders
-    return [(1, 0)] + [(1, 2**j) for j in range(s.bit_length() - 1)]
 
 
 def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> int:
@@ -226,19 +119,35 @@ def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> 
     return value
 
 
+def _orbit_vector(p: int, m: int, q: int) -> tuple[list[int], list[int]]:
+    """V and the orbit orders d with prod_d Res(Phi_d, V) = prod_{chi odd} q B(chi).
+
+    V is [g^x mod q for x < phi(q)], g the least primitive root, for odd p, and
+    [2h - q for h = 5^y mod q, y < q/4] for p = 2. Each d names one Galois
+    orbit of odd characters, whose weight polynomial is V folded mod d (see
+    the module docstring).
+    """
+    if p == 2:
+        n, g = q // 4, 5
+        orders = [n >> j for j in range(m - 1)]
+    else:
+        n, g = euler_phi(q), _primitive_root(p, m)
+        orders = [n // k for k in range(1, n, 2) if n % k == 0]
+    vector = [1] * n
+    for x in range(1, n):
+        vector[x] = vector[x - 1] * g % q
+    if p == 2:
+        vector = [2 * h - q for h in vector]
+    return vector, orders
+
+
 def hminus_product(p: int, m: int) -> int:
     """h^-(conductor p^m) by the odd-character product, one orbit norm per orbit."""
     q = _validated_conductor(p, m)
-    group = _unit_group(q, p, m)
-    half = len(group.dlog) // 2
-    total = 1
-    covered = 0
-    for images in _odd_orbit_representatives(group):
-        chi = _make_character(group, images)
-        assert chi.is_odd
-        total *= primitive_root_product(chi.order, _weights(chi))
-        covered += euler_phi(chi.order)
-    assert covered == half
+    vector, orders = _orbit_vector(p, m, q)
+    half = euler_phi(q) // 2
+    assert sum(map(euler_phi, orders)) == half
+    total = prod(primitive_root_product(d, vector) for d in orders)
     return _positive_quotient(q, total, (-2 * q) ** half, "odd-character product")
 
 

@@ -15,7 +15,7 @@ from functools import cache
 
 from .arith import euler_phi, mult_order
 from .bernoulli import is_regular_prime
-from .characters import hminus_determinant
+from .characters import _validated_conductor, hminus_determinant
 from .criteria import Conclusion, TowerCandidate, verify_candidate
 from .errors import (
     BudgetExceededError,
@@ -24,7 +24,7 @@ from .errors import (
     PrecisionError,
     TowerforgeError,
 )
-from .local import LocalCycloElement, kappa
+from .local import LocalCycloElement, _enforce_search_domain, kappa
 from .pipeline import (
     DEFAULT_CACHE_NAME,
     HminusCache,
@@ -46,7 +46,7 @@ def _cache_from_env() -> HminusCache:
 
 
 def _cmd_hminus(args) -> int:
-    conductor = args.p**args.m
+    conductor = _validated_conductor(args.p, args.m)
     if conductor > args.budget:
         raise BudgetExceededError(f"conductor {conductor} exceeds budget {args.budget}")
     value = cached_relative_class_number(
@@ -95,6 +95,7 @@ def _cmd_kappa(args) -> int:
         coeffs = [int(part) for part in args.elem.split(",")]
     except ValueError:
         raise ValueError(f"--elem must be comma-separated integers, got {args.elem!r}")
+    _enforce_search_domain(args.p, args.m, args.lmax)
     e = euler_phi(args.p**args.m)
     precision = (args.lmax + 2 * e - 1) // e + 1
     element = LocalCycloElement(args.p, args.m, precision, coeffs)

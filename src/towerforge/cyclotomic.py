@@ -10,8 +10,9 @@ or a tighter one the caller proves. ``primitive_root_product`` is the norm of
 W(zeta_d). It first descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in
 exact integers, one relative norm (a product of r Galois conjugates) per
 repeated prime factor r, down to the squarefree level rad(d) (the field-norm
-descent of Pornin and Prest, PKC 2019). There, one transform mod l per prime
-finishes it under a Parseval/AM-GM bound proved for the original W; at
+descent of Pornin and Prest, PKC 2019). There, it evaluates the descended
+polynomial mod l at the phi(d) primitive d-th roots of unity only, one dot
+product each, under a Parseval/AM-GM bound proved for the original W; at
 rad(d) <= 2 the descent alone is exact and no prime is drawn. Neither kernel
 uses anything but integers.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from itertools import count
 from math import gcd, prod
+from operator import mul
 
 from .arith import _MR_BOUND, euler_phi, factorize, is_prime
 
@@ -177,27 +179,6 @@ def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None
     return _crt_reconstruct(lambda ell: _det_mod(matrix, ell), _crt_primes(1), 4 * square_bound)
 
 
-def _dft(coeffs: list[int], powers: list[int], ell: int, radices: list[int]) -> list[int]:
-    """Values of sum_i coeffs[i] x^i at x = w^j, j = 0..n-1, modulo ell.
-
-    n = len(coeffs) = prod(radices), and powers[j] = w^j for a w with
-    w^n = 1. Mixed-radix decimation in time: with r = radices[0] and m = n/r,
-    the polynomial is sum_s x^s P_s(x^r) with P_s(y) = sum_t coeffs[s + rt] y^t,
-    and (w^r)^m = 1, so each P_s is a transform of length m.
-    """
-    n = len(coeffs)
-    if n == 1:
-        return coeffs
-    r = radices[0]
-    inner = powers[::r]
-    parts = [_dft(coeffs[s::r], inner, ell, radices[1:]) for s in range(r)]
-    values = parts[0] * r
-    for s in range(1, r):
-        twiddles = (powers * s)[::s]  # w^(s j mod n)
-        values = [v + t * x for v, t, x in zip(values, twiddles, parts[s] * r)]
-    return [v % ell for v in values]
-
-
 def _relative_norm(f: list, d: int, r: int) -> list:
     """The norm of f(zeta_d) down to Q(zeta_{d/r}), as a polynomial in zeta_{d/r}; r^2 | d.
 
@@ -240,8 +221,12 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     order d. omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some
     Phi_e with e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring
     map Z[zeta_d] -> F_l. N = prod_j f(zeta_d^j) holds in Z[zeta_d], so
-    N = prod_j f(omega^j) (mod l). One mixed-radix transform mod l gives all
-    d values f(omega^j). Every l lies below the deterministic Miller-Rabin
+    N = prod_j f(omega^j) (mod l). f has at most phi(d) terms, so each of the
+    phi(d) values is one dot product of f with the powers omega^(ij), read as
+    a strided slice of the table of omega^k repeated len(f) times: at most
+    phi(d)^2 products per prime, against d times the sum of the prime factors
+    for a transform of all d values, plus that transform's twiddles (cubic in
+    a large prime factor). Every l lies below the deterministic Miller-Rabin
     bound and is certified by ``is_prime``.
 
     Bound. It is proved for the original d and folded W, since N is the same
@@ -272,22 +257,22 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
             d //= r
     if d <= 2:
         return f[0] if f else 0
-    f += [0] * (d - len(f))
     units = [j for j in range(d) if gcd(j, d) == 1]
-    radices = [r for r, _ in factors]
+    primes = [r for r, _ in factors]
+    n = len(f)
 
     def residue(ell: int) -> int:
         g = 2  # g^((l-1)/d) has exact order d iff no g^((l-1)/r), r | d, is 1
-        while any(pow(g, (ell - 1) // r, ell) == 1 for r in radices):
+        while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
             g += 1
         omega = pow(g, (ell - 1) // d, ell)
         powers = [1] * d
-        for j in range(1, d):
-            powers[j] = powers[j - 1] * omega % ell
-        values = _dft(f, powers, ell, radices)
+        for k in range(1, d):
+            powers[k] = powers[k - 1] * omega % ell
+        powers *= n  # omega^k at every k < d n, since omega^d = 1
         result = 1
         for j in units:
-            result = result * values[j] % ell
+            result = result * sum(map(mul, f, powers[: j * n : j])) % ell
         return result
 
     return _crt_reconstruct(residue, _crt_primes(d), limit, phi**phi)

@@ -18,7 +18,7 @@ from math import prod
 from pathlib import Path
 
 from .arith import FactoredInteger, is_prime_power
-from .characters import _validated_conductor, relative_class_number
+from .characters import _validated_conductor, _validated_prime, relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import CacheMismatchError, FactorizationError
 
@@ -266,10 +266,12 @@ def search_candidates(
 ) -> SearchResult:
     """Sweep conductors p^m, m_from <= m <= m_to, and rank every prime degree.
 
+    p must be prime (ValueError otherwise, before any conductor is formed).
     Conductors over budget and factorizations that exhaust their iteration
     budget are flagged and skipped; the remaining reports are sorted best
     first (conclusion rank, then condition-I margin descending).
     """
+    _validated_prime(p)
     reports: list[CriterionReport] = []
     skipped: list[tuple[int, str]] = []
     budget_exceeded = False

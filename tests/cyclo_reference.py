@@ -1,19 +1,22 @@
-"""Reference oracles for both exact kernels: Bareiss and exact Q(zeta_n) arithmetic.
+"""Reference oracles for both exact kernels and the h^- product route.
 
 A fraction-free Bareiss determinant, a Sylvester resultant evaluated with it,
-a field-element class with Fraction coefficients, its norm, and B(chi) as an
-element of Q(zeta_d). The package computes determinants modulo primes with
-``integer_det`` and the orbit norms with ``primitive_root_product`` instead;
-these slower, independent definitions stay here so the tests can check those
-kernels and the h^- routes against them.
+a field-element class with Fraction coefficients, its norm, a brute-force
+enumeration of the Dirichlet characters of prime-power modulus, and B(chi)
+as an element of Q(zeta_d). The package computes determinants modulo primes
+with ``integer_det`` and the orbit norms with ``primitive_root_product`` from
+one list of generator powers instead; these slower, independent definitions
+stay here so the tests can check those kernels and the h^- routes against
+them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import gcd, lcm, prod
 
-from towerforge.characters import DirichletCharacter, _weights
 from towerforge.cyclotomic import _poly_divmod_monic, _trim, cyclo_poly
 
 
@@ -237,13 +240,77 @@ def cyclo_norm(e: CycloElement) -> Fraction:
     return Fraction(res, scale**deg)
 
 
-def gen_bernoulli_b1(chi: DirichletCharacter) -> CycloElement:
+def _order(g: int, q: int) -> int:
+    """Multiplicative order of the unit g mod q, by repeated multiplication."""
+    k, x = 1, g % q
+    while x != 1:
+        x = x * g % q
+        k += 1
+    return k
+
+
+@dataclass(frozen=True)
+class Character:
+    """chi(a) = zeta_order^exponents[a] for each unit a mod ``modulus``."""
+
+    modulus: int
+    order: int
+    exponents: dict[int, int]
+
+    @property
+    def is_odd(self) -> bool:
+        return 2 * self.exponents[self.modulus - 1] == self.order
+
+    def __pow__(self, t: int) -> "Character":
+        """chi^t for t prime to the order, which keeps the order."""
+        exponents = {a: k * t % self.order for a, k in self.exponents.items()}
+        return Character(self.modulus, self.order, exponents)
+
+    def weights(self) -> list[int]:
+        """w_0..w_{d-1} of W = sum_a a x^k(a), so that W(zeta_d) = q B(chi)."""
+        w = [0] * self.order
+        for a, k in self.exponents.items():
+            w[k] += a
+        return w
+
+
+def characters(p: int, m: int) -> list[Character]:
+    """Every character of (Z/p^m)^*, p^m > 2, by brute force.
+
+    The generators are the least unit of order phi(q) for odd p, and -1 and 5
+    for p = 2; enumerating every product of their powers checks that they
+    reach each unit exactly once. The character with images zeta_{s_i}^{k_i}
+    on generators of orders s_i has the exponent sum x_i k_i e/s_i mod the
+    group exponent e at a = prod g_i^{x_i}, and its order d is the least one
+    that makes every exponent times d vanish mod e. The list is in
+    lexicographic order of the images.
+    """
+    q = p**m
+    units = [a for a in range(1, q) if a % p]
+    if p == 2:
+        gens = [q - 1, 5 % q]
+    else:
+        gens = [next(g for g in units if _order(g, q) == len(units))]
+    orders = [_order(g, q) for g in gens]
+    e = lcm(*orders)
+    dlog = {}
+    for xs in product(*map(range, orders)):
+        dlog[prod(pow(g, x, q) for g, x in zip(gens, xs)) % q] = xs
+    assert sorted(dlog) == units
+    chars = []
+    for images in product(*map(range, orders)):
+        steps = [k * (e // s) for k, s in zip(images, orders)]
+        big = {a: sum(x * step for x, step in zip(xs, steps)) % e for a, xs in dlog.items()}
+        d = e // gcd(e, *big.values())
+        chars.append(Character(q, d, {a: k * d // e for a, k in big.items()}))
+    return chars
+
+
+def gen_bernoulli_b1(chi: Character) -> CycloElement:
     """B(chi) = (1/q) sum_{a unit mod q} chi(a) a, as an element of Q(zeta_ord(chi)).
 
     For prime-power modulus this equals the value attached to the primitive
     character inducing chi, because the single ramified prime always divides
     the conductor of a nontrivial chi.
     """
-    return CycloElement(chi.order, [Fraction(c, chi.modulus) for c in _weights(chi)])
-
-
+    return CycloElement(chi.order, [Fraction(c, chi.modulus) for c in chi.weights()])

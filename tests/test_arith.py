@@ -114,6 +114,15 @@ class TestFactorize:
         with pytest.raises(FactorizationError):
             factorize(10**25 + 13)
 
+    def test_cofactor_too_long_to_print_is_named_by_its_bits(self):
+        # 10007 is above the trial bound, and its 1,100th power has 4,401 digits
+        n = 10007**1100
+        with pytest.raises(FactorizationError) as caught:
+            factorize(n)
+        assert str(caught.value) == (
+            f"cofactor of {n.bit_length()} bits exceeds the deterministic primality bound"
+        )
+
     def test_factored_integer_validation(self):
         with pytest.raises(ValueError):
             FactoredInteger(6, ((2, 1),))  # recomposes to 2

@@ -1,24 +1,19 @@
 """Dirichlet characters, generalized Bernoulli values, relative class numbers."""
 
 import json
-import pickle
 import random
-import subprocess
-import sys
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from cyclo_reference import CycloElement, bareiss_det, gen_bernoulli_b1
-from test_cli import cli_env
+from cyclo_reference import CycloElement, bareiss_det, characters, gen_bernoulli_b1
 
 from towerforge.arith import euler_phi, is_prime
 from towerforge.characters import (
     _bordered_system,
-    _odd_orbit_representatives,
-    _weights,
-    characters_mod,
+    _orbit_vector,
     hminus_determinant,
     hminus_product,
     relative_class_number,
@@ -30,142 +25,137 @@ from towerforge.errors import BudgetExceededError
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
+def folded(vector, d, t=1):
+    """Coefficients of sum_i vector[i] zeta_d^(i t), exponents reduced mod d."""
+    out = [0] * d
+    for i, c in enumerate(vector):
+        out[i * t % d] += c
+    return out
+
+
 class TestCharactersMod:
+    """The brute-force characters of the reference, and the conductors h^- rejects."""
+
     def test_counts(self):
-        chars = characters_mod(5, 1)
+        chars = characters(5, 1)
         assert len(chars) == 4
         assert sum(1 for c in chars if c.is_odd) == 2
 
-        chars = characters_mod(2, 2)
+        chars = characters(2, 2)
         assert len(chars) == 2
         assert sum(1 for c in chars if c.is_odd) == 1
 
-        chars = characters_mod(3, 4)
+        chars = characters(3, 4)
         assert len(chars) == 54
         assert sum(1 for c in chars if c.is_odd) == 27
 
     def test_counts_even_modulus(self):
         for m in (3, 4, 5):
-            chars = characters_mod(2, m)
+            chars = characters(2, m)
             assert len(chars) == euler_phi(2**m)
             assert sum(1 for c in chars if c.is_odd) == len(chars) // 2
 
     def test_conductor_2_rejected(self):
         with pytest.raises(ValueError):
-            characters_mod(2, 1)
+            hminus_product(2, 1)
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
-            characters_mod(6, 1)
+            hminus_product(6, 1)
 
     def test_uniqueness_and_determinism(self):
-        chars = characters_mod(3, 3)
-        images = [c.generator_images for c in chars]
-        assert len(set(images)) == len(images)
-        assert images == sorted(images)
-        assert characters_mod(3, 3) == chars
+        chars = characters(3, 3)
+        maps = {tuple(sorted(c.exponents.items())) for c in chars}
+        assert len(maps) == len(chars)
+        assert characters(3, 3) == chars
 
     def test_multiplicativity(self):
         rng = random.Random(3)
         for p, m in ((5, 1), (2, 4), (3, 2), (7, 1)):
             q = p**m
             units = [a for a in range(1, q) if gcd(a, q) == 1]
-            for chi in characters_mod(p, m):
+            for chi in characters(p, m):
+                k = chi.exponents
                 for _ in range(10):
                     a, b = rng.choice(units), rng.choice(units)
-                    lhs = chi.value_exponent(a * b % q)
-                    rhs = (chi.value_exponent(a) + chi.value_exponent(b)) % chi.order
-                    assert lhs == rhs
+                    assert k[a * b % q] == (k[a] + k[b]) % chi.order
 
     def test_parity_matches_value_at_minus_one(self):
         for p, m in ((5, 1), (2, 5), (3, 3)):
             q = p**m
-            for chi in characters_mod(p, m):
-                exp = chi.value_exponent(q - 1)
-                if chi.parity == 1:
-                    assert exp == 0
-                else:
+            for chi in characters(p, m):
+                exp = chi.exponents[q - 1]
+                if chi.is_odd:
                     assert 2 * exp == chi.order  # value is the -1 in mu_order
+                else:
+                    assert exp == 0
 
     def test_orthogonality(self):
         # sum over units of chi(a) vanishes for every nontrivial chi
         for p, m in ((5, 1), (3, 2), (2, 4)):
-            q = p**m
-            for chi in characters_mod(p, m):
+            for chi in characters(p, m):
                 if chi.order == 1:
                     continue
                 total = CycloElement.from_rational(0, chi.order)
                 z = CycloElement.zeta(chi.order)
-                for a in range(1, q):
-                    if gcd(a, q) == 1:
-                        total = total + z ** chi.value_exponent(a)
+                for k in chi.exponents.values():
+                    total = total + z**k
                 assert total.is_zero()
 
     def test_power_orbit_closure(self):
-        for chi in characters_mod(5, 1):
+        for chi in characters(5, 1):
             assert (chi**1) == chi
             assert (chi ** (chi.order + 1)) == chi
 
     def test_odd_orbit_representatives_partition_the_odd_characters(self):
-        cases = [(2, m) for m in range(2, 9)] + [(3, m) for m in range(1, 5)]
-        cases += [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (23, 1), (29, 1), (31, 1)]
+        # the phi(d) conjugates of V folded mod d, over the orbit orders d of
+        # the product route, are q B(chi) for each odd chi exactly once
+        cases = [(2, m) for m in range(2, 8)] + [(3, m) for m in range(1, 5)]
+        cases += [(5, 1), (5, 2), (7, 1), (7, 2), (23, 1), (29, 1), (31, 1)]
         for p, m in cases:
-            chars = characters_mod(p, m)
-            by_images = {chi.generator_images: chi for chi in chars}
-            covered = []
-            for images in _odd_orbit_representatives(chars[0].group):
-                chi = by_images[images]
-                covered += [
-                    (chi**t).generator_images
-                    for t in range(1, chi.order + 1)
-                    if gcd(t, chi.order) == 1
-                ]
-            assert sorted(covered) == [chi.generator_images for chi in chars if chi.is_odd]
-
-    def test_pickled_character_works_in_a_fresh_process(self, tmp_path):
-        chi = next(c for c in characters_mod(5, 1) if c.is_odd)
-        child = subprocess.run(
-            [sys.executable, "-c", "import pickle, sys; "
-             "print(pickle.load(sys.stdin.buffer).value_exponent(2))"],
-            input=pickle.dumps(chi),
-            capture_output=True,
-            env=cli_env(tmp_path),
-            cwd=tmp_path,
-        )
-        assert child.returncode == 0, child.stderr.decode()
-        assert int(child.stdout) == chi.value_exponent(2)
+            chars = characters(p, m)
+            top = lcm(*(chi.order for chi in chars))
+            expected = Counter(
+                CycloElement(chi.order, chi.weights()).lift_to(top) for chi in chars if chi.is_odd
+            )
+            vector, orders = _orbit_vector(p, m, p**m)
+            got = Counter(
+                CycloElement(d, folded(vector, d, t)).lift_to(top)
+                for d in orders
+                for t in range(1, d + 1)
+                if gcd(t, d) == 1
+            )
+            assert got == expected, (p, m)
 
 
 class TestGenBernoulli:
     def test_odd_character_mod_4(self):
-        (chi,) = [c for c in characters_mod(2, 2) if c.is_odd]
+        (chi,) = [c for c in characters(2, 2) if c.is_odd]
         assert gen_bernoulli_b1(chi) == CycloElement.from_rational(Fraction(-1, 2), chi.order)
 
     def test_trivial_character_mod_3(self):
-        (trivial,) = [c for c in characters_mod(3, 1) if c.order == 1]
+        (trivial,) = [c for c in characters(3, 1) if c.order == 1]
         b = gen_bernoulli_b1(trivial)
         assert b.is_rational() and b.rational_value() == 1
 
     def test_weights_match_value_exponent(self):
-        # every character of the small moduli and the odd-orbit representatives
-        # of the largest swept conductors, against one value_exponent call per unit
-        chars = []
-        for p, m in ((2, 2), (2, 5), (3, 3), (5, 2), (7, 2), (2, 11), (3, 6), (5, 4), (7, 3)):
-            every = characters_mod(p, m)
-            if p**m <= 100:
-                chars += every
-            else:
-                reps = set(_odd_orbit_representatives(every[0].group))
-                chars += [c for c in every if c.generator_images in reps]
-        for chi in chars:
-            expected = [0] * chi.order
-            for a in chi.group.dlog:
-                expected[chi.value_exponent(a)] += a
-            assert _weights(chi) == expected, (chi.modulus, chi.generator_images)
+        # for odd p, V folded mod d is the weight vector of the character
+        # chi(g) = zeta_d, g the least primitive root: the vector the kernel's
+        # bound is proved for
+        for p, m in ((3, 1), (3, 3), (5, 2), (7, 2), (11, 2), (3, 6), (5, 4), (7, 3)):
+            q = p**m
+            vector, orders = _orbit_vector(p, m, q)
+            g = vector[1]
+            by_order = {}
+            for chi in characters(p, m):
+                if chi.exponents[g] == 1:
+                    by_order[chi.order] = chi
+            for d in orders:
+                assert folded(vector, d) == by_order[d].weights(), (q, d)
 
     def test_galois_equivariance(self):
         # B(chi^t) is the image of B(chi) under zeta_d -> zeta_d^t
-        for chi in characters_mod(5, 1):
+        for chi in characters(5, 1):
             d = chi.order
             b = gen_bernoulli_b1(chi)
             for t in range(1, d):
@@ -241,6 +231,11 @@ class TestDeterminantOracle:
         for p, m in ((2, 7), (3, 4), (5, 3), (23, 1), (29, 1), (7, 2)):
             assert hminus_determinant(p, m) == hminus_product(p, m)
 
+    def test_agreement_at_safe_primes(self):
+        # (p - 1)/2 is prime: one orbit of order p - 1 = 2 r with r = 233, 251
+        for p in (467, 503):
+            assert hminus_determinant(p, 1) == hminus_product(p, 1), p
+
     def test_bound(self):
         with pytest.raises(BudgetExceededError):
             hminus_determinant(2, 10)
@@ -289,7 +284,7 @@ class TestOrbitGroupingInvariance:
             q = p**m
             big = euler_phi(q)
             product = CycloElement.from_rational(1, big)
-            for chi in characters_mod(p, m):
+            for chi in characters(p, m):
                 if not chi.is_odd:
                     continue
                 factor = gen_bernoulli_b1(chi) * Fraction(-1, 2)

@@ -119,6 +119,12 @@ class TestHminus:
             assert result.stderr == "error: 4 is not prime\n"
 
 
+    def test_non_prime_p_exits_2_before_the_budget_is_compared(self, tmp_path):
+        result = run_cli(["hminus", "--p", "4", "--m", "10"], tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == "error: 4 is not prime\n"
+
+
 class TestOrderRegular:
     def test_order(self, tmp_path):
         result = run_cli(["order", "--base", "2", "--mod", "21121"], tmp_path)
@@ -250,6 +256,26 @@ class TestSearch:
         result = run_cli(["search", "--p", "3", "--m-from", "1", "--m-to", "2"], tmp_path)
         assert result.returncode == 0
 
+    @pytest.mark.parametrize("p, m_from, m_to", [(4, 6, 7), (1, 1, 3)])
+    def test_non_prime_p_exits_2(self, tmp_path, p, m_from, m_to):
+        result = run_cli(
+            ["search", "--p", str(p), "--m-from", str(m_from), "--m-to", str(m_to)], tmp_path
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {p} is not prime\n"
+
+    def test_cofactor_too_long_to_print_is_skipped(self, tmp_path):
+        # h^-(16384) leaves a cofactor of more than 4,300 digits
+        result = run_cli(
+            ["search", "--p", "2", "--m-from", "14", "--m-to", "14", "--budget", "20000"], tmp_path
+        )
+        assert result.returncode == 3
+        assert result.stderr == (
+            "skipped conductor 16384: factorization budget exhausted: "
+            "cofactor of 15774 bits exceeds the deterministic primality bound\n"
+        )
+
 
 @pytest.fixture
 def cli(monkeypatch):
@@ -268,6 +294,26 @@ def run_in_process(cli, args, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+class TestKappaDomain:
+    def test_domain_is_checked_before_the_ring_is_built(self, cli, capsys, monkeypatch):
+        from towerforge import local
+
+        built = []
+        ring = local._local_ring
+        monkeypatch.setattr(local, "_local_ring", lambda p, m: built.append((p, m)) or ring(p, m))
+        for args in (
+            ["--p", "2", "--m", "16", "--elem", "1", "--lmax", "3"],
+            ["--p", "3", "--m", "1", "--elem", "2,-1", "--lmax", "10000000"],
+        ):
+            code, out, err = run_in_process(cli, ["kappa", *args], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+        assert built == []
+        args = ["kappa", "--p", "3", "--m", "1", "--elem", "2,-1", "--lmax", "3"]
+        assert run_in_process(cli, args, capsys) == (0, "1\n", "")
+        assert set(built) == {(3, 1)}
 
 
 class TestInProcessReuse:

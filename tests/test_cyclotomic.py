@@ -217,6 +217,14 @@ class TestPrimitiveRootProduct:
             w = [rng.randrange(-9, 10) for _ in range(d if d <= 128 else 6)]
             assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w), d
 
+    def test_squarefree_radicals_against_sylvester_resultant(self):
+        # no descent at a squarefree d: W of degree phi(d) reduces to phi(d)
+        # terms, all evaluated mod l; 3 or 4 prime factors each
+        rng = random.Random(59)
+        for d in (30, 66, 78, 105, 130, 190, 210):
+            w = [rng.randrange(0, 2 * d) for _ in range(euler_phi(d) + 1)]
+            assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w), d
+
     def test_vectors_longer_than_d_are_folded(self):
         rng = random.Random(53)
         for d in (1, 2, 3, 6, 12, 25):
