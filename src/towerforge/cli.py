@@ -45,10 +45,16 @@ def _cache_from_env() -> HminusCache:
     return HminusCache(os.environ.get("TOWERFORGE_CACHE", DEFAULT_CACHE_NAME))
 
 
-def _cmd_hminus(args) -> int:
+def _budgeted_conductor(args) -> int:
+    """p^m once p and m are valid, refused when it exceeds --budget."""
     conductor = _validated_conductor(args.p, args.m)
     if conductor > args.budget:
         raise BudgetExceededError(f"conductor {conductor} exceeds budget {args.budget}")
+    return conductor
+
+
+def _cmd_hminus(args) -> int:
+    conductor = _budgeted_conductor(args)
     value = cached_relative_class_number(
         args.p, args.m, _cache_from_env(), verify=args.verify_cache
     )
@@ -78,6 +84,7 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _budgeted_conductor(args)
     h_minus = cached_relative_class_number(args.p, args.m, _cache_from_env())
     candidate = TowerCandidate.build(args.p, args.m, args.h, h_minus)
     report = verify_candidate(candidate)
@@ -157,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument("--h", type=int, required=True)
     p_verify.add_argument("--json", action="store_true")
+    p_verify.add_argument("--budget", type=int, default=2048, help="largest conductor to attempt")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_kappa = sub.add_parser("kappa", help="p-th power congruence depth of a local unit")

@@ -22,21 +22,30 @@ of x at level l. It needs N >= k + 1 (or k when r = 0).
 
 The kappa invariant (deepest level l at which a unit is congruent to a p-th
 power mod pi^l) is read from a table of the keys of all p-th powers of units,
-built once per ring on first use. With l_max = kappa_cap(p, m), every unit
-mod pi^l_max is enumerated as sum_{i < l_max} d_i pi^i with d_0 in 1..p-1 and
-d_i in 0..p-1, and the key of gamma^p at level l_max is stored; lower levels
-are the same keys reduced further. This is exact: units mod pi^l_max map onto
+built once per ring on first use. With top = kappa_cap(p, m), the table holds
+the key of gamma^p at level top for every unit gamma mod pi^top; lower levels
+are the same keys reduced further. This is exact: units mod pi^top map onto
 units mod pi^l, and gamma^p mod pi^l depends only on gamma mod pi^l, since
 (gamma + pi^l d)^p = gamma^p mod pi^l. A non-unit gamma has v(gamma^p) >= p,
-so it never matches a unit. The enumeration stays exhaustive, and it is
-hard-limited to p in {2, 3}, m in {1, 2} and levels <= 8.
+so it never matches a unit.
+
+The keys are found as a subgroup closure, not by enumerating units. The
+ramification is total and the residue field is F_p, so every unit of
+O/pi^top is d*u with d in 1..p-1 and u = 1 mod pi, and U^i/U^(i+1) (units
+= 1 mod pi^i, modulo those = 1 mod pi^(i+1)) is F_p, generated by 1 + pi^i.
+So the finite abelian group (O/pi^top)^* is generated by the classes of
+2..p-1 and of 1 + pi^i for 1 <= i < top, and the image of the homomorphism
+gamma -> gamma^p is generated by their p-th powers. Starting from {1} and
+multiplying every new element by each generator until no new key appears
+reaches every product of generators; in a finite group every inverse is a
+positive power, so that is the whole image. The search stays hard-limited to
+p in {2, 3}, m in {1, 2} and levels <= 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product as iter_product
 from math import comb
 
 from .cyclotomic import _poly_divmod_monic, _poly_mul, cyclo_poly
@@ -106,19 +115,22 @@ class _LocalRing:
         p, m, e = self.p, self.m, self.e
         top = kappa_cap(p, m)
         precision = top // e + 1  # e * precision > top, so p^precision lies in pi^top
+
+        def top_key(x):
+            return self.key(self.t_basis(x.coeffs, p**precision), top)
+
         pi = LocalCycloElement.pi(p, m, precision)
-        pi_powers = [LocalCycloElement.from_int(1, p, m, precision)]
-        for _ in range(top - 1):
-            pi_powers.append(pi_powers[-1] * pi)
-        keys = set()
-        for digits in iter_product(range(1, p), *([range(p)] * (top - 1))):
-            gamma_coeffs = [0] * e
-            for digit, power in zip(digits, pi_powers):
-                if digit:
-                    gamma_coeffs = [a + digit * b for a, b in zip(gamma_coeffs, power.coeffs)]
-            gamma_p = LocalCycloElement(p, m, precision, gamma_coeffs) ** p
-            keys.add(self.key(self.t_basis(gamma_p.coeffs, p**precision), top))
-        return tuple(frozenset(self.key(c, level) for c in keys) for level in range(1, top + 1))
+        one = LocalCycloElement.from_int(1, p, m, precision)
+        units = [LocalCycloElement.from_int(d, p, m, precision) for d in range(2, p)]
+        units += [one + pi**i for i in range(1, top)]
+        generators = [unit**p for unit in units]
+        reached = {top_key(one)}
+        frontier = [one]
+        while frontier:
+            products = {top_key(y): y for y in (x * g for x in frontier for g in generators)}
+            frontier = [y for k, y in products.items() if k not in reached]
+            reached.update(products)
+        return tuple(frozenset(self.key(c, level) for c in reached) for level in range(1, top + 1))
 
 
 @cache

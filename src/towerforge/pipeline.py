@@ -267,9 +267,10 @@ def search_candidates(
     """Sweep conductors p^m, m_from <= m <= m_to, and rank every prime degree.
 
     p must be prime (ValueError otherwise, before any conductor is formed).
-    Conductors over budget and factorizations that exhaust their iteration
-    budget are flagged and skipped; the remaining reports are sorted best
-    first (conclusion rank, then condition-I margin descending).
+    The sweep stops at the first conductor over budget, flagged once for the
+    rest of the range. Factorizations that exhaust their iteration budget are
+    flagged and skipped. The remaining reports are sorted best first
+    (conclusion rank, then condition-I margin descending).
     """
     _validated_prime(p)
     reports: list[CriterionReport] = []
@@ -278,9 +279,12 @@ def search_candidates(
     for m in range(m_from, m_to + 1):
         conductor = p**m
         if conductor > conductor_budget:
-            skipped.append((conductor, f"conductor budget {conductor_budget} exceeded"))
+            # every later p^m is larger still: one entry names the whole range
+            ms = f"{m}..{m_to}" if m < m_to else f"{m}"
+            reason = f"conductor budget {conductor_budget} exceeded for m = {ms}"
+            skipped.append((conductor, reason))
             budget_exceeded = True
-            continue
+            break
         if conductor <= 2:
             continue  # h^- = 1, no candidate degrees
         try:

@@ -1,9 +1,11 @@
-"""Reference oracle for kappa: the exhaustive per-call enumeration.
+"""Reference oracles for kappa: exhaustive enumerations of units.
 
-For each level l it enumerates every unit gamma mod pi^l and tests whether
-gamma^p - x has valuation >= l. The package reads kappa from a per-ring table
-of p-th-power residues instead; this slower, independent definition stays here
-so the tests can check the table against it.
+``kappa`` enumerates, for each level l, every unit gamma mod pi^l and tests
+whether gamma^p - x has valuation >= l. ``pth_powers`` builds a ring's table
+of p-th-power keys from every unit gamma mod pi^kappa_cap. The package reads
+kappa from a per-ring table that it builds as a subgroup closure instead;
+these slower, independent definitions stay here so the tests can check the
+table against them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from towerforge.errors import PrecisionError
-from towerforge.local import AT_CAP, LocalCycloElement, _enforce_search_domain, pi_valuation
+from towerforge.local import (
+    AT_CAP,
+    LocalCycloElement,
+    _enforce_search_domain,
+    kappa_cap,
+    pi_valuation,
+)
 
 
 def _pth_power_residues(x: LocalCycloElement, level: int):
@@ -58,3 +66,27 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
             break
         best = level
     return best
+
+
+def pth_powers(ring) -> tuple[frozenset, ...]:
+    """Keys of gamma^p over all units gamma, at each level 1..kappa_cap.
+
+    Every unit mod pi^kappa_cap is enumerated as sum_i d_i pi^i with d_0 in
+    1..p-1 and d_i in 0..p-1.
+    """
+    p, m, e = ring.p, ring.m, ring.e
+    top = kappa_cap(p, m)
+    precision = top // e + 1  # e * precision > top, so p^precision lies in pi^top
+    pi = LocalCycloElement.pi(p, m, precision)
+    pi_powers = [LocalCycloElement.from_int(1, p, m, precision)]
+    for _ in range(top - 1):
+        pi_powers.append(pi_powers[-1] * pi)
+    keys = set()
+    for digits in iter_product(range(1, p), *([range(p)] * (top - 1))):
+        gamma_coeffs = [0] * e
+        for digit, power in zip(digits, pi_powers):
+            if digit:
+                gamma_coeffs = [a + digit * b for a, b in zip(gamma_coeffs, power.coeffs)]
+        gamma_p = LocalCycloElement(p, m, precision, gamma_coeffs) ** p
+        keys.add(ring.key(ring.t_basis(gamma_p.coeffs, p**precision), top))
+    return tuple(frozenset(ring.key(c, level) for c in keys) for level in range(1, top + 1))

@@ -172,6 +172,18 @@ class TestVerify:
         result = run_cli(["verify", "--p", "2", "--m", "7", "--h", "13"], tmp_path)
         assert result.returncode == 2
 
+    def test_budget_exceeded_before_any_h_minus_is_computed(self, tmp_path):
+        result = run_cli(["verify", "--p", "2", "--m", "20", "--h", "3"], tmp_path)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "budget exceeded: conductor 1048576 exceeds budget 2048\n"
+        assert not (tmp_path / "cache.jsonl").exists()
+
+    def test_non_prime_p_exits_2_before_the_budget_is_compared(self, tmp_path):
+        result = run_cli(["verify", "--p", "4", "--m", "10", "--h", "3"], tmp_path)
+        assert result.returncode == 2
+        assert result.stderr == "error: 4 is not prime\n"
+
 
 class TestKappa:
     def test_one_plus_pi(self, tmp_path):
@@ -251,6 +263,22 @@ class TestSearch:
         )
         assert result.returncode == 3
         assert "skipped conductor 256" in result.stderr
+
+    def test_search_stops_at_the_first_conductor_over_budget(self, tmp_path):
+        # without the stop, every p^m up to 2^300000 would be formed and listed
+        argv = ["search", "--p", "2", "--m-from", "12", "--m-to", "300000"]
+        result = subprocess.run(
+            [sys.executable, "-m", "towerforge.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env(tmp_path),
+            cwd=tmp_path,
+            timeout=10,
+        )
+        assert result.returncode == 3
+        assert result.stderr == (
+            "skipped conductor 4096: conductor budget 2048 exceeded for m = 12..300000\n"
+        )
 
     def test_search_empty(self, tmp_path):
         result = run_cli(["search", "--p", "3", "--m-from", "1", "--m-to", "2"], tmp_path)

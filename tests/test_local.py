@@ -15,6 +15,7 @@ from towerforge.local import (
     AT_CAP,
     KummerClass,
     LocalCycloElement,
+    _LocalRing,
     _pi_cofactor,
     check_kummer_class_invariance,
     divide_by_pi,
@@ -205,6 +206,26 @@ class TestKappaTable:
                 y = LocalCycloElement(p, m, precision, [rng.randrange(p**precision) for _ in x.coeffs])
                 assert key_at(x, level) == key_at(x + y * pi**level, level)
                 assert key_at(x, level) != key_at(x + pi ** (level - 1), level)
+
+
+class TestPthPowerTable:
+    @pytest.mark.parametrize("p,m", SEARCH_RINGS)
+    def test_closure_equals_the_enumeration_at_every_level(self, p, m):
+        ring = _LocalRing(p, m)
+        assert ring.pth_powers == local_reference.pth_powers(ring)
+
+    def test_ring_3_2_builds_from_few_multiplications(self, monkeypatch):
+        calls = 0
+        multiply = LocalCycloElement.__mul__
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return multiply(x, y)
+
+        monkeypatch.setattr(LocalCycloElement, "__mul__", counted)
+        assert len(_LocalRing(3, 2).pth_powers[-1]) == 18
+        assert calls < 500
 
 
 class TestKummerClass:
