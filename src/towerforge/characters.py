@@ -45,6 +45,15 @@ recomputed from scratch two independent ways, both in integers only:
   same integer. Since the phi(d) add up to phi(q)/2,
   h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact integer division.
 
+  Factoring by orbit norm. ``orbit_norms`` yields the pairs (d, Res(Phi_d, W))
+  once per conductor; ``hminus_product`` and ``relative_class_number`` both
+  take h^- from them, and the latter hands them to ``factorize``. Every prime
+  factor of h^- other than 2 and p divides some Res(Phi_d, W), so a
+  composite cofactor is split by its gcd with each norm, and one that divides
+  a single norm is walked by rho on x^(2d) + c: a prime l not dividing d that
+  divides Res(Phi_d, W) exactly once is 1 mod d (proof in ``factorize``).
+  The oracle route factors its h^- without norms, independently.
+
 * determinant oracle: no characters at all. Over a half-system a_1..a_n of
   units mod q (one from each pair {a, -a}), the matrix with entries
   g(a_i * a_j^-1), for any odd function g on the units, has the vectors
@@ -93,19 +102,48 @@ def _primitive_root(p: int, m: int) -> int:
     raise AssertionError("no primitive root found for an odd prime power")
 
 
-def _validated_prime(p: int) -> None:
+def _validated_exponent(p: int, m: int) -> None:
+    """Raise ValueError unless p is prime and m >= 1, before p^m is formed."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError("m must be >= 1")
 
 
 def _validated_conductor(p: int, m: int) -> int:
-    _validated_prime(p)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _validated_exponent(p, m)
     q = p**m
     if q <= 2:
         raise ValueError(f"conductor {q} has no odd characters; h^- is trivially 1")
     return q
+
+
+def _over_by_bits(p: int, m: int, bound: int) -> bool:
+    """True only when p^m > max(bound, 2), read off bit lengths without forming p^m.
+
+    p^m >= 2^(m (bitlen p - 1)), and bound < 2^bitlen(bound); False decides nothing.
+    """
+    return m * (p.bit_length() - 1) > bound.bit_length() + 1
+
+
+# int-to-str converts at most 4300 digits by default
+_DECIMAL_BOUND = 10**4300
+
+
+def conductor_label(p: int, m: int) -> int | str:
+    """p^m, or the text "p^m" where int-to-str would refuse its decimal form.
+
+    A p^m that is longer than any convertible integer by its bit length alone
+    is named without being formed.
+    """
+    if not _over_by_bits(p, m, _DECIMAL_BOUND):
+        q = p**m
+        try:
+            str(q)
+            return q
+        except ValueError:  # more digits than int-to-str converts
+            pass
+    return f"{p}^{m}"
 
 
 def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> int:
@@ -141,14 +179,25 @@ def _orbit_vector(p: int, m: int, q: int) -> tuple[list[int], list[int]]:
     return vector, orders
 
 
-def hminus_product(p: int, m: int) -> int:
-    """h^-(conductor p^m) by the odd-character product, one orbit norm per orbit."""
+def orbit_norms(p: int, m: int) -> list[tuple[int, int]]:
+    """[(d, Res(Phi_d, W))], one pair per Galois orbit of odd characters of conductor p^m."""
     q = _validated_conductor(p, m)
     vector, orders = _orbit_vector(p, m, q)
-    half = euler_phi(q) // 2
-    assert sum(map(euler_phi, orders)) == half
-    total = prod(primitive_root_product(d, vector) for d in orders)
+    assert sum(map(euler_phi, orders)) == euler_phi(q) // 2
+    return [(d, primitive_root_product(d, vector)) for d in orders]
+
+
+def _hminus_of_norms(p: int, m: int, norms: list[tuple[int, int]]) -> int:
+    """h^- = w * prod Res / (-2q)^(phi(q)/2), one exact integer division."""
+    q = p**m
+    total = prod(norm for _, norm in norms)
+    half = p ** (m - 1) * (p - 1) // 2  # phi(q) / 2
     return _positive_quotient(q, total, (-2 * q) ** half, "odd-character product")
+
+
+def hminus_product(p: int, m: int) -> int:
+    """h^-(conductor p^m) by the odd-character product, one orbit norm per orbit."""
+    return _hminus_of_norms(p, m, orbit_norms(p, m))
 
 
 def _bordered_system(q: int) -> tuple[list[list[int]], int]:
@@ -189,9 +238,10 @@ class RelClassNumber:
 
 
 def relative_class_number(p: int, m: int, *, rho_budget: int = 2_000_000) -> RelClassNumber:
-    """h^- by the product formula, factored for downstream candidate selection."""
-    value = hminus_product(p, m)
-    return RelClassNumber(p**m, factorize(value, rho_budget=rho_budget), "product-formula")
+    """h^- by the product formula, factored (through its orbit norms) for candidate selection."""
+    norms = orbit_norms(p, m)
+    value = factorize(_hminus_of_norms(p, m, norms), rho_budget=rho_budget, norms=norms)
+    return RelClassNumber(p**m, value, "product-formula")
 
 
 def relative_class_number_det(

@@ -15,7 +15,13 @@ from functools import cache
 
 from .arith import euler_phi, mult_order
 from .bernoulli import is_regular_prime
-from .characters import _validated_conductor, hminus_determinant
+from .characters import (
+    _over_by_bits,
+    _validated_conductor,
+    _validated_exponent,
+    conductor_label,
+    hminus_determinant,
+)
 from .criteria import Conclusion, TowerCandidate, verify_candidate
 from .errors import (
     BudgetExceededError,
@@ -46,11 +52,18 @@ def _cache_from_env() -> HminusCache:
 
 
 def _budgeted_conductor(args) -> int:
-    """p^m once p and m are valid, refused when it exceeds --budget."""
-    conductor = _validated_conductor(args.p, args.m)
-    if conductor > args.budget:
-        raise BudgetExceededError(f"conductor {conductor} exceeds budget {args.budget}")
-    return conductor
+    """p^m once p and m are valid, refused when it exceeds --budget.
+
+    A conductor whose bit length alone puts it over budget is refused without
+    being formed, and named as p^m where its decimal form is too long.
+    """
+    p, m, budget = args.p, args.m, args.budget
+    _validated_exponent(p, m)
+    if not _over_by_bits(p, m, budget):
+        conductor = _validated_conductor(p, m)
+        if conductor <= budget:
+            return conductor
+    raise BudgetExceededError(f"conductor {conductor_label(p, m)} exceeds budget {budget}")
 
 
 def _cmd_hminus(args) -> int:

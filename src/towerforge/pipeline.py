@@ -18,7 +18,13 @@ from math import prod
 from pathlib import Path
 
 from .arith import FactoredInteger, is_prime_power
-from .characters import _validated_conductor, _validated_prime, relative_class_number
+from .characters import (
+    _over_by_bits,
+    _validated_conductor,
+    _validated_exponent,
+    conductor_label,
+    relative_class_number,
+)
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import CacheMismatchError, FactorizationError
 
@@ -251,7 +257,7 @@ _CONCLUSION_RANK = {
 @dataclass(frozen=True)
 class SearchResult:
     reports: tuple[CriterionReport, ...]
-    skipped: tuple[tuple[int, str], ...]
+    skipped: tuple[tuple[int | str, str], ...]
     budget_exceeded: bool
 
 
@@ -266,25 +272,26 @@ def search_candidates(
 ) -> SearchResult:
     """Sweep conductors p^m, m_from <= m <= m_to, and rank every prime degree.
 
-    p must be prime (ValueError otherwise, before any conductor is formed).
-    The sweep stops at the first conductor over budget, flagged once for the
-    rest of the range. Factorizations that exhaust their iteration budget are
-    flagged and skipped. The remaining reports are sorted best first
-    (conclusion rank, then condition-I margin descending).
+    p must be prime and m_from >= 1 (ValueError otherwise, before any
+    conductor is formed). The sweep stops at the first conductor over budget,
+    flagged once for the rest of the range and named by ``conductor_label``.
+    Factorizations that exhaust their iteration budget are flagged and
+    skipped. The remaining reports are sorted best first (conclusion rank,
+    then condition-I margin descending).
     """
-    _validated_prime(p)
+    _validated_exponent(p, m_from)
     reports: list[CriterionReport] = []
-    skipped: list[tuple[int, str]] = []
+    skipped: list[tuple[int | str, str]] = []
     budget_exceeded = False
     for m in range(m_from, m_to + 1):
-        conductor = p**m
-        if conductor > conductor_budget:
+        if _over_by_bits(p, m, conductor_budget) or p**m > conductor_budget:
             # every later p^m is larger still: one entry names the whole range
             ms = f"{m}..{m_to}" if m < m_to else f"{m}"
             reason = f"conductor budget {conductor_budget} exceeded for m = {ms}"
-            skipped.append((conductor, reason))
+            skipped.append((conductor_label(p, m), reason))
             budget_exceeded = True
             break
+        conductor = p**m
         if conductor <= 2:
             continue  # h^- = 1, no candidate degrees
         try:

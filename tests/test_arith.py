@@ -162,17 +162,24 @@ class TestTrialDivisionByGcd:
 
     def assert_same(self, numbers, monkeypatch, rho_budget):
         calls = {"gcd": [], "wheel": []}
+        exponents = set()
+
+        def recorded(rho, side):
+            def wrapper(m, c, budget, e=2):
+                calls[side].append((m, c))
+                exponents.add(e)
+                return rho(m, c, budget, e)
+
+            return wrapper
+
         for module, side in ((arith, "gcd"), (arith_reference, "wheel")):
-            rho = module._pollard_brent
-            monkeypatch.setattr(
-                module,
-                "_pollard_brent",
-                lambda m, c, budget, rho=rho, side=side: calls[side].append((m, c)) or rho(m, c, budget),
-            )
+            monkeypatch.setattr(module, "_pollard_brent", recorded(module._pollard_brent, side))
         for n in numbers:
             assert outcome(factorize, n, rho_budget) == outcome(wheel_factorize, n, rho_budget), n
-        # rho is handed the same composite survivors in the same order
+        # rho is handed the same composite survivors in the same order, and
+        # without norms every walk is on x^2 + c
         assert calls["gcd"] == calls["wheel"]
+        assert exponents <= {2}
 
     def test_edges(self, monkeypatch):
         self.assert_same(EDGES, monkeypatch, 2_000_000)
@@ -191,6 +198,18 @@ class TestTrialDivisionByGcd:
         numbers = EDGES + [rng.randrange(1, 10 ** rng.randrange(2, 19)) for _ in range(300)]
         for n in numbers:
             assert dict(factorize(n).factors) == {int(p): e for p, e in sympy.factorint(n).items()}, n
+
+
+class TestRhoExponent:
+    # h^-(243) = 2593 * 6252002011 * 922099242709; both large primes are 1 mod 162
+    COMPOSITE = 6252002011 * 922099242709
+
+    def test_walk_on_x_to_the_324_splits_in_few_steps(self):
+        factor, used = arith._pollard_brent(self.COMPOSITE, 1, 10_000, 324)
+        assert factor in (6252002011, 922099242709)
+        assert used < 10_000  # 3,071 measured
+        # x^2 + 1 needs 73,599 steps
+        assert arith._pollard_brent(self.COMPOSITE, 1, 10_000)[0] is None
 
 
 class TestEulerPhi:

@@ -10,17 +10,19 @@ from pathlib import Path
 import pytest
 from cyclo_reference import CycloElement, bareiss_det, characters, gen_bernoulli_b1
 
-from towerforge.arith import euler_phi, is_prime
+from towerforge import arith
+from towerforge.arith import euler_phi, factorize, is_prime
 from towerforge.characters import (
     _bordered_system,
     _orbit_vector,
     hminus_determinant,
     hminus_product,
+    orbit_norms,
     relative_class_number,
     relative_class_number_det,
 )
 from towerforge.cyclotomic import integer_det
-from towerforge.errors import BudgetExceededError
+from towerforge.errors import BudgetExceededError, FactorizationError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -292,3 +294,72 @@ class TestOrbitGroupingInvariance:
             assert product.is_rational()
             w = q if q % 2 == 0 else 2 * q
             assert product.rational_value() * w == hminus_product(p, m)
+
+
+class TestFactoringByOrbitNorms:
+    """relative_class_number hands h^-'s orbit norms to factorize."""
+
+    def test_gcd_with_an_orbit_norm_splits_h_minus_256_without_rho(self, monkeypatch):
+        norms = orbit_norms(2, 8)
+        assert [d for d, _ in norms] == [64, 32, 16, 8, 4, 2, 1]
+        assert gcd(21121 * 29102880226241, dict(norms)[32]) == 21121
+
+        def no_rho(m, c, budget, e=2):
+            raise AssertionError(f"rho called on {m}")
+
+        monkeypatch.setattr(arith, "_pollard_brent", no_rho)
+        factors = ((17, 1), (21121, 1), (29102880226241, 1))
+        assert factorize(hminus_product(2, 8), norms=norms).factors == factors
+        assert relative_class_number(2, 8).value.factors == factors
+        # without the norms, rho is handed the product of the two large primes
+        with pytest.raises(AssertionError, match=f"rho called on {21121 * 29102880226241}$"):
+            factorize(hminus_product(2, 8))
+
+    def test_h_minus_243_is_walked_on_x_to_the_324(self, monkeypatch):
+        calls = []
+        rho = arith._pollard_brent
+
+        def recorded(m, c, budget, e=2):
+            calls.append((m, c, e))
+            return rho(m, c, budget, e)
+
+        monkeypatch.setattr(arith, "_pollard_brent", recorded)
+        assert str(relative_class_number(3, 5).value) == "2593 * 6252002011 * 922099242709"
+        assert calls == [(6252002011 * 922099242709, 1, 324)]
+
+    def test_every_conductor_up_to_256_factors_as_without_norms(self):
+        primes = [p for p in range(2, 257) if is_prime(p)]
+        conductors = [(p, m) for p in primes for m in range(1, 9) if 2 < p**m <= 256]
+        assert len(conductors) == 69
+        refused = []
+        for p, m in conductors:
+            try:
+                expected = factorize(hminus_product(p, m))
+            except FactorizationError as exc:
+                refused.append(p**m)
+                with pytest.raises(FactorizationError, match=f"^{exc}$"):
+                    relative_class_number(p, m)
+            else:
+                assert relative_class_number(p, m).value == expected, p**m
+        # the primality bound refuses the same cofactors with norms as without
+        assert refused == [163, 167, 173, 179, 191, 193, 197, 199, 223, 227, 229, 233, 239, 241, 251]
+
+    @pytest.mark.parametrize(
+        "p, m, rho_budget, message",
+        [
+            (3, 5, 50, f"rho budget exhausted on composite cofactor {6252002011 * 922099242709}"),
+            (
+                2,
+                9,
+                2_000_000,
+                "cofactor 368382587322996021102689498972289578939895258233859137 "
+                "exceeds the deterministic primality bound",
+            ),
+        ],
+    )
+    def test_failures_read_the_same_with_norms_as_without(self, p, m, rho_budget, message):
+        h = hminus_product(p, m)
+        for norms in ((), orbit_norms(p, m)):
+            with pytest.raises(FactorizationError) as caught:
+                factorize(h, rho_budget=rho_budget, norms=norms)
+            assert str(caught.value) == message

@@ -293,6 +293,15 @@ class TestSearch:
         assert result.stdout == ""
         assert result.stderr == f"error: {p} is not prime\n"
 
+    @pytest.mark.parametrize("p, m_from, m_to", [(2, 0, 3), (3, -2, 1)])
+    def test_m_below_1_exits_2_before_any_conductor_is_formed(self, tmp_path, p, m_from, m_to):
+        result = run_cli(
+            ["search", "--p", str(p), "--m-from", str(m_from), "--m-to", str(m_to)], tmp_path
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: m must be >= 1\n"
+
     def test_cofactor_too_long_to_print_is_skipped(self, tmp_path):
         # h^-(16384) leaves a cofactor of more than 4,300 digits
         result = run_cli(
@@ -322,6 +331,51 @@ def run_in_process(cli, args, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestConductorTooLongToPrint:
+    """A conductor over budget is compared by bit length, and named as p^m
+    where its decimal form has more digits than int-to-str converts."""
+
+    @pytest.mark.parametrize("command", [["hminus"], ["verify", "--h", "3"]])
+    def test_named_as_a_power(self, tmp_path, command):
+        result = run_cli([*command, "--p", "2", "--m", "15000"], tmp_path)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "budget exceeded: conductor 2^15000 exceeds budget 2048\n"
+
+    def test_printable_conductor_keeps_its_decimal_form(self, tmp_path):
+        result = run_cli(["hminus", "--p", "2", "--m", "14000"], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == f"budget exceeded: conductor {2**14000} exceeds budget 2048\n"
+
+    def test_search_names_the_skipped_conductor_as_a_power(self, tmp_path):
+        result = run_cli(["search", "--p", "2", "--m-from", "15000", "--m-to", "15001"], tmp_path)
+        assert result.returncode == 3
+        assert result.stderr == (
+            "skipped conductor 2^15000: conductor budget 2048 exceeded for m = 15000..15001\n"
+        )
+
+    def test_far_over_budget_is_refused_without_being_formed(self, tmp_path):
+        # 2^(10^10) alone would take 1.25 GB; the child may map at most 1 GB
+        pytest.importorskip("resource")
+        result = subprocess.run(
+            [sys.executable, "-m", "towerforge.cli", "hminus", "--p", "2", "--m", "10000000000"],
+            capture_output=True,
+            text=True,
+            env=cli_env(tmp_path),
+            cwd=tmp_path,
+            timeout=20,
+            preexec_fn=_cap_address_space,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "budget exceeded: conductor 2^10000000000 exceeds budget 2048\n"
 
 
 class TestKappaDomain:
