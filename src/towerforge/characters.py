@@ -38,9 +38,11 @@ recomputed from scratch two independent ways, both in integers only:
   so it first takes exact relative norms down the tower
   Q(zeta_d) > Q(zeta_{d/p}) > ... to the squarefree level rad(d), where
   Gal(Q(zeta_d)/Q(zeta_{d/r})), r^2 | d, is {x -> x^(1 + k d/r)} and the norm
-  is read off Z[x^r]. For p = 2 that ends at Q and is exact. Otherwise it
-  evaluates modulo certified primes l = 1 (mod rad(d)) and recombines the
-  residues by CRT until the modulus exceeds twice the Parseval/AM-GM bound
+  is read off Z[x^r]. For p = 2 that ends at Q and is exact. Otherwise,
+  modulo certified primes l = 1 (mod rad(d)), it takes the values at all
+  primitive rad(d)-th roots of unity from one chirp-z correlation (a single
+  packed big-integer product per prime) and recombines the residues of their
+  product by CRT until the modulus exceeds twice the Parseval/AM-GM bound
   (d sum w_i^2 / phi(d))^{phi(d)/2} of the original W, since the norm is the
   same integer. Since the phi(d) add up to phi(q)/2,
   h^- = w * prod Res / (-2q)^{phi(q)/2}, one exact integer division.

@@ -1,28 +1,31 @@
 """Cyclotomic polynomials and the two exact integer kernels built on them.
 
-Polynomials are dense integer coefficient lists, index = degree. Both kernels
-work modulo primes below the deterministic Miller-Rabin bound, each certified
-by ``is_prime``, and end in one reconstruction, ``_crt_reconstruct``: Chinese
+Polynomials are dense integer coefficient lists, index = degree, and
+``_poly_mul`` is their one product: schoolbook for short factors, one
+big-integer product by Kronecker substitution above that (its slot bound is
+proved there). Both kernels work modulo primes below the deterministic
+Miller-Rabin bound, each sieved by small primes and then certified by
+``is_prime``, and end in one reconstruction, ``_crt_reconstruct``: Chinese
 remaindering until the modulus exceeds twice a proven bound, then the
 symmetric lift. ``integer_det`` (it serves the h^- determinant oracle)
 eliminates over F_l with each row packed into one int, under Hadamard's bound
 or a tighter one the caller proves. ``primitive_root_product`` is the norm of
 W(zeta_d). It first descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in
-exact integers, one relative norm (a product of r Galois conjugates) per
-repeated prime factor r, down to the squarefree level rad(d) (the field-norm
-descent of Pornin and Prest, PKC 2019). There, it evaluates the descended
-polynomial mod l at the phi(d) primitive d-th roots of unity only, one dot
-product each, under a Parseval/AM-GM bound proved for the original W; at
-rad(d) <= 2 the descent alone is exact and no prime is drawn. Neither kernel
-uses anything but integers.
+exact integers, one relative norm (a product of r Galois conjugates, two
+half-length squarings for r = 2) per repeated prime factor r, down to the
+squarefree level rad(d) (the field-norm descent of Pornin and Prest, PKC
+2019). There, it takes the values mod l at all primitive rad(d)-th roots of
+unity from one cyclic correlation, a chirp-z transform (Bluestein, 1970) by
+i j = C(i + j, 2) - C(i, 2) - C(j, 2), under a Parseval/AM-GM bound proved for
+the original W; at rad(d) <= 2 the descent alone is exact and no prime is
+drawn. Neither kernel uses anything but integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import count
+from itertools import compress
 from math import gcd, prod
-from operator import mul
 
 from .arith import _MR_BOUND, euler_phi, factorize, is_prime
 
@@ -33,15 +36,52 @@ def _trim(p: list) -> list:
     return p
 
 
+# Below this many terms in the shorter factor the schoolbook loop is faster
+# (measured on a shared 2-core host, Python 3.11: the two are level at 12 terms
+# for coefficients of up to 82 bits, packing wins from about 16 terms at 300
+# bits, and at 6 terms, the local ring's largest, schoolbook takes half the time).
+_PACKED_MIN_TERMS = 12
+
+
 def _poly_mul(a: list, b: list) -> list:
+    """a * b, trailing zeros trimmed; pass the same list twice to square it.
+
+    Below ``_PACKED_MIN_TERMS`` terms in the shorter factor it is the schoolbook
+    loop. Above, it is Kronecker substitution: one product of two big
+    integers. With s = 8w bits per slot and h = 2^(s-1), every coefficient of
+    the product, c_k = sum_i a_i b_(k-i), is a sum of at most
+    n = min(len a, len b) terms, so |c_k| <= n max|a| max|b| <
+    2^(bitlen n + bitlen max|a| + bitlen max|b|) <= h, and so is every input
+    coefficient. A = sum a_i 2^(s i) is packed as the slots a_i + h in [0, 2^s)
+    minus sum h 2^(s i), and likewise B. Then C = A B = sum c_k 2^(s k), and
+    C + sum h 2^(s k) has the slots c_k + h in [0, 2^s): no slot carries
+    into the next, so each c_k is read off as its slot minus h.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
+    if min(len(a), len(b)) < _PACKED_MIN_TERMS:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return _trim(out)
+    bits = max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+    width = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    pattern = bytes(width - 1) + b"\x80"  # the slot value h
+
+    def pack(values: list) -> int:
+        data = b"".join([(v + half).to_bytes(width, "little") for v in values])
+        return int.from_bytes(data, "little") - int.from_bytes(pattern * len(values), "little")
+
+    packed = pack(a)
+    product = packed * packed if a is b else packed * pack(b)
+    n = len(a) + len(b) - 1
+    data = (product + int.from_bytes(pattern * n, "little")).to_bytes(width * n, "little")
+    return _trim(
+        [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)]
+    )
 
 
 def _poly_divmod_monic(num: list, den) -> tuple[list, list]:
@@ -84,7 +124,13 @@ def cyclo_poly(n: int) -> tuple[int, ...]:
     return result
 
 
-_crt_prime_cache: dict[int, list[int]] = {}
+# d -> {l: omega of exact order d or d/2 (``_unit_values_product``), None until
+# it is needed}, the primes l = 1 (mod d) in the order ``_crt_primes(d)`` walks them
+_crt_prime_cache: dict[int, dict[int, int | None]] = {}
+
+# the primes that sieve each block of candidates k d + 1 before Miller-Rabin
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+_SIEVE_BLOCK = 256
 
 
 def _crt_primes(d: int) -> Iterator[int]:
@@ -92,17 +138,29 @@ def _crt_primes(d: int) -> Iterator[int]:
 
     The list is a pure function of d, so the primes found are memoized and a
     later walk certifies only the primes past the end of every earlier one.
+    Candidates k d + 1 are taken in blocks of k: a sieve prime r not dividing
+    d divides k d + 1 exactly when k = -1/d (mod r), and such a candidate
+    above r is composite, so only the rest are handed to ``is_prime``.
     """
-    primes = _crt_prime_cache.setdefault(d, [])
-    for i in count():
-        if i == len(primes):
-            k = (primes[-1] - 1) // d - 1 if primes else (_MR_BOUND - 2) // d
-            while k > 0 and not is_prime(k * d + 1):
-                k -= 1
-            if k <= 0:
-                return
-            primes.append(k * d + 1)
-        yield primes[i]
+    found = _crt_prime_cache.setdefault(d, {})
+    ell = 0
+    for ell in list(found):
+        yield ell
+    k = (ell - 1) // d - 1 if ell else (_MR_BOUND - 2) // d
+    sieve = [(r, -pow(d, -1, r) % r) for r in _SIEVE_PRIMES if d % r]
+    while k > 0:
+        size = min(k, _SIEVE_BLOCK)  # slot t holds k - t, for t < size
+        alive = bytearray(b"\x01") * size
+        if (k - size + 1) * d > _SIEVE_PRIMES[-1]:
+            for r, root in sieve:
+                start = (k - root) % r
+                alive[start::r] = bytes(len(range(start, size, r)))
+        for t in compress(range(size), alive):
+            ell = (k - t) * d + 1
+            if is_prime(ell):
+                found.setdefault(ell, None)
+                yield ell
+        k -= size
 
 
 def _crt_reconstruct(
@@ -185,12 +243,23 @@ def _relative_norm(f: list, d: int, r: int) -> list:
     f is reduced mod Phi_d and so is the result, mod Phi_{d/r}. Since r^2 | d,
     (1 + d/r)^k = 1 + k d/r (mod d), so the r maps x -> x^(1 + k d/r),
     0 <= k < r, are the subgroup of (Z/d)^* that fixes zeta_d^r: the Galois
-    group of Q(zeta_d) over Q(zeta_{d/r}). Each conjugate is an exponent
-    permutation mod d, reduced mod Phi_d, and their product is reduced mod Phi_d
-    after each step. The norm lies in Z[zeta_d^r], and Phi_d(x) = Phi_{d/r}(x^r)
-    has degree r phi(d/r), so the reduced product is h(x^r) with h reduced mod
-    Phi_{d/r}: every r-th coefficient, and only those, may be nonzero.
+    group of Q(zeta_d) over Q(zeta_{d/r}). The norm lies in Z[zeta_d^r], and
+    Phi_d(x) = Phi_{d/r}(x^r) has degree r phi(d/r), so the norm reduced mod
+    Phi_d is h(x^r) with h reduced mod Phi_{d/r}: every r-th coefficient, and
+    only those, may be nonzero.
+
+    For r = 2 the conjugate is x -> x^(1 + d/2) = -x, so with
+    f = E(x^2) + x O(x^2) the norm f(x) f(-x) is E(y)^2 - y O(y)^2 at y = x^2:
+    two squarings of half the length, reduced mod Phi_{d/2}(y). For odd r each
+    conjugate is an exponent permutation mod d, reduced mod Phi_d, and their
+    product is reduced mod Phi_d after each step.
     """
+    if r == 2:
+        even, odd = f[::2], f[1::2]
+        norm = _poly_mul(even, even) + [0] * len(f)
+        for i, c in enumerate(_poly_mul(odd, odd)):
+            norm[i + 1] -= c
+        return _poly_divmod_monic(norm, cyclo_poly(d // 2))[1]
     phi = cyclo_poly(d)
     norm = f
     for k in range(1, r):
@@ -204,6 +273,57 @@ def _relative_norm(f: list, d: int, r: int) -> list:
     return norm[::r]
 
 
+def _unit_values_product(f: list, d: int, ell: int) -> int:
+    """prod f(zeta_d^j) over j in (Z/d)^*, mod a prime l = 1 (mod d) from ``_crt_primes(d)``.
+
+    d is squarefree and at least 3, and f has at most d terms: any
+    representative mod x^d - 1 has the same values at the d-th roots of unity.
+    Let m = d for odd d. For d = 2m, m is odd, so if omega has exact order m
+    then -omega has exact order d, the elements of order d are the -omega^j
+    with j in (Z/m)^*, and f(-x) mod x^m - 1 is evaluated at the omega^j
+    instead. omega of exact order m mod l is found once per (d, l) and kept in
+    the cache entry of l. The m values f(omega^j) come from one cyclic
+    correlation (chirp-z, Bluestein 1970), by
+    i j = C(i + j, 2) - C(i, 2) - C(j, 2) with C(k, 2) = k (k - 1)/2, which
+    needs no square root of omega:
+    f(omega^j) = omega^(-C(j, 2)) sum_i a_i b_(i + j) with
+    a_i = f_i omega^(-C(i, 2)) and b_k = omega^(C(k, 2)). As m is odd,
+    C(k + m, 2) = C(k, 2) + m (k + (m - 1)/2) = C(k, 2) (mod m), so b has
+    period m, and the sums are the cyclic correlation of a (n = len(f) <= m
+    terms) with b_0..b_(m-1): one ``_poly_mul`` of residues in [0, l), of a
+    reversed by b, folded mod x^m - 1, read at the units j only. Both chirps
+    are read off one table of the powers of omega.
+    """
+    m = d // 2 if d % 2 == 0 else d
+    if m < d:  # f(-x) mod x^m - 1, m odd
+        f = f + [0] * (d - len(f))
+        f = [hi - lo if i & 1 else lo - hi for i, (lo, hi) in enumerate(zip(f[:m], f[m:]))]
+    entry = _crt_prime_cache[d]
+    omega = entry[ell]
+    if omega is None:
+        primes = factorize(m).primes
+        g = 2  # g^((l-1)/m) has exact order m iff no g^((l-1)/r), r | m, is 1
+        while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
+            g += 1
+        omega = entry[ell] = pow(g, (ell - 1) // m, ell)
+    powers = [1] * m
+    for e in range(1, m):
+        powers[e] = powers[e - 1] * omega % ell
+    n = len(f)
+    a = [c * powers[-i * (i - 1) // 2 % m] % ell for i, c in zip(range(n - 1, -1, -1), reversed(f))]
+    b = [powers[k * (k - 1) // 2 % m] for k in range(m)]
+    corr = _poly_mul(a, b)
+    corr += [0] * (2 * m - len(corr))
+    # (a * b)_k holds the terms with i + j = k - n + 1, so the sum for
+    # f(omega^j) is split over slots k = j + n - 1 (mod m) and k + m
+    result = 1
+    for j in range(1, m):
+        if gcd(j, m) == 1:
+            k = (j + n - 1) % m
+            result = result * powers[-j * (j - 1) // 2 % m] % ell * (corr[k] + corr[k + m]) % ell
+    return result
+
+
 def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     """prod W(zeta_d^j) over j in (Z/d)^*, where W = sum_i weights[i] x^i; exact.
 
@@ -211,23 +331,24 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     this is Res(Phi_d, W), the norm N of W(zeta_d) from Q(zeta_d) to Q. As
     zeta_d^d = 1, W may have any length: it is folded to w_0..w_{d-1} first.
 
-    Descent. W is reduced mod Phi_d to f. While some prime r has r^2 | d, f is
-    replaced by its norm to Q(zeta_{d/r}) (``_relative_norm``) and d by d/r;
-    norms compose along the tower, so N is unchanged. Everything stays in Z
-    and d ends at its radical. If that is 1 or 2, Q(zeta_d) = Q and N is the
-    constant left: no prime is needed.
+    Descent. If some prime r has r^2 | d, W is reduced mod Phi_d to f, and
+    while some r^2 | d, f is replaced by its norm to Q(zeta_{d/r})
+    (``_relative_norm``) and d by d/r; norms compose along the tower, so N is
+    unchanged. Everything stays in Z and d ends at its radical. If that is 1
+    or 2, Q(zeta_d) = Q and N is the constant left (W is reduced mod Phi_d
+    for these d as well): no prime is needed. A squarefree d >= 3 keeps the
+    folded W as f, since its values at d-th roots of unity depend only on W
+    mod x^d - 1.
 
     Residues. Otherwise take a prime l = 1 (mod d) and omega in F_l of exact
     order d. omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some
     Phi_e with e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring
     map Z[zeta_d] -> F_l. N = prod_j f(zeta_d^j) holds in Z[zeta_d], so
-    N = prod_j f(omega^j) (mod l). f has at most phi(d) terms, so each of the
-    phi(d) values is one dot product of f with the powers omega^(ij), read as
-    a strided slice of the table of omega^k repeated len(f) times: at most
-    phi(d)^2 products per prime, against d times the sum of the prime factors
-    for a transform of all d values, plus that transform's twiddles (cubic in
-    a large prime factor). Every l lies below the deterministic Miller-Rabin
-    bound and is certified by ``is_prime``.
+    N = prod_j f(omega^j) (mod l). ``_unit_values_product`` takes all these
+    values from one correlation, a single ``_poly_mul`` of two residue lists
+    of length at most d (d/2 for even d), where one dot product per unit
+    would cost phi(d) len(f) products per prime. Every l lies below the
+    deterministic Miller-Rabin bound and is certified by ``is_prime``.
 
     Bound. It is proved for the original d and folded W, since N is the same
     integer. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)
@@ -250,29 +371,15 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     shift = sum(folded) // d if d > 1 else 0
     limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi
 
-    f = _poly_divmod_monic(folded, cyclo_poly(d))[1]
-    for r, e in factors:
-        for _ in range(e - 1):
-            f = _relative_norm(f, d, r)
-            d //= r
-    if d <= 2:
+    f = folded
+    if d <= 2 or any(e > 1 for _, e in factors):
+        f = _poly_divmod_monic(f, cyclo_poly(d))[1]
+        for r, e in factors:
+            for _ in range(e - 1):
+                f = _relative_norm(f, d, r)
+                d //= r
+    if d <= 2 or not f:
         return f[0] if f else 0
-    units = [j for j in range(d) if gcd(j, d) == 1]
-    primes = [r for r, _ in factors]
-    n = len(f)
-
-    def residue(ell: int) -> int:
-        g = 2  # g^((l-1)/d) has exact order d iff no g^((l-1)/r), r | d, is 1
-        while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
-            g += 1
-        omega = pow(g, (ell - 1) // d, ell)
-        powers = [1] * d
-        for k in range(1, d):
-            powers[k] = powers[k - 1] * omega % ell
-        powers *= n  # omega^k at every k < d n, since omega^d = 1
-        result = 1
-        for j in units:
-            result = result * sum(map(mul, f, powers[: j * n : j])) % ell
-        return result
-
-    return _crt_reconstruct(residue, _crt_primes(d), limit, phi**phi)
+    return _crt_reconstruct(
+        lambda ell: _unit_values_product(f, d, ell), _crt_primes(d), limit, phi**phi
+    )

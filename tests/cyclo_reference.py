@@ -7,7 +7,8 @@ as an element of Q(zeta_d). The package computes determinants modulo primes
 with ``integer_det`` and the orbit norms with ``primitive_root_product`` from
 one list of generator powers instead; these slower, independent definitions
 stay here so the tests can check those kernels and the h^- routes against
-them.
+them. ``unit_values_product`` is the orbit-norm residue the package computed
+before it took the chirp-z correlation: one dot product per unit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
+from towerforge.arith import factorize
 from towerforge.cyclotomic import _poly_divmod_monic, _trim, cyclo_poly
 
 
@@ -27,6 +30,34 @@ def poly_mul(a: list, b: list) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def unit_values_product(f: list, d: int, ell: int) -> int:
+    """prod f(omega^j) mod l over j in (Z/d)^*, omega of exact order d mod the prime l.
+
+    Each of the phi(d) values is one dot product of f with the powers
+    omega^(ij), read as a strided slice of the table of omega^k repeated
+    len(f) times: phi(d) len(f) products per prime.
+    """
+    primes = [r for r, _ in factorize(d).factors]
+    units = [j for j in range(d) if gcd(j, d) == 1]
+    n = len(f)
+
+    def residue(ell: int) -> int:
+        g = 2  # g^((l-1)/d) has exact order d iff no g^((l-1)/r), r | d, is 1
+        while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
+            g += 1
+        omega = pow(g, (ell - 1) // d, ell)
+        powers = [1] * d
+        for k in range(1, d):
+            powers[k] = powers[k - 1] * omega % ell
+        powers *= n  # omega^k at every k < d n, since omega^d = 1
+        result = 1
+        for j in units:
+            result = result * sum(map(mul, f, powers[: j * n : j])) % ell
+        return result
+
+    return residue(ell)
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:

@@ -234,7 +234,8 @@ class TestDeterminantOracle:
             assert hminus_determinant(p, m) == hminus_product(p, m)
 
     def test_agreement_at_safe_primes(self):
-        # (p - 1)/2 is prime: one orbit of order p - 1 = 2 r with r = 233, 251
+        # (p - 1)/2 is prime: one orbit of order p - 1 = 2 r with r = 233, 251,
+        # evaluated by the chirp-z correlation of length r
         for p in (467, 503):
             assert hminus_determinant(p, 1) == hminus_product(p, 1), p
 

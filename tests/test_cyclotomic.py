@@ -8,7 +8,14 @@ from math import gcd
 
 import pytest
 
-from cyclo_reference import CycloElement, bareiss_det, cyclo_norm, poly_mul, resultant
+from cyclo_reference import (
+    CycloElement,
+    bareiss_det,
+    cyclo_norm,
+    poly_mul,
+    resultant,
+    unit_values_product,
+)
 
 from towerforge import cyclotomic
 from towerforge.arith import _MR_BOUND, euler_phi, is_prime
@@ -16,7 +23,10 @@ from towerforge.cyclotomic import (
     _crt_primes,
     _det_mod,
     _poly_divmod_monic,
+    _poly_mul,
     _relative_norm,
+    _trim,
+    _unit_values_product,
     cyclo_poly,
     integer_det,
     primitive_root_product,
@@ -81,7 +91,52 @@ class TestCycloPoly:
             cyclo_poly(0)
 
 
+def schoolbook(a, b):
+    return _trim(poly_mul(a, b)) if a and b else []
+
+
 class TestPolyKernels:
+    def test_mul_against_schoolbook(self):
+        # both branches, either side of the packing threshold, signed and
+        # zero coefficients (trailing zeros too) up to 2^300, and squaring
+        rng = random.Random(71)
+        for la in [*range(41), 256]:
+            for lb in (0, 1, 2, 11, 12, 13, 40, la):
+                for span in (1, 2**30, 2**300):
+                    a = [rng.randrange(-span, span + 1) for _ in range(la)]
+                    b = [rng.choice((0, rng.randrange(-span, span + 1))) for _ in range(lb)]
+                    if lb > 2:
+                        b[-2:] = [0, 0]
+                    assert _poly_mul(a, b) == schoolbook(a, b), (la, lb, span)
+                    assert _poly_mul(b, a) == schoolbook(b, a), (la, lb, span)
+                    assert _poly_mul(a, a) == schoolbook(a, list(a)), (la, span)
+        assert _poly_mul([0] * 20, [5] * 20) == []
+        extreme = [-(2**300)] * 256
+        assert _poly_mul(extreme, extreme) == schoolbook(extreme, extreme)
+
+    def test_mul_at_the_slot_ceiling(self):
+        # n = 2^j - 1 terms of 2^x - 1 each: the middle coefficient is about
+        # 2^(j + 2x), the most the slots allow, with j + 2x a multiple of 8 so
+        # that the sign bit of every slot is needed
+        for j, x in ((4, 2), (4, 30), (8, 8), (8, 300)):
+            top = 2**x - 1
+            a = [top] * (2**j - 1)
+            for b in (a, list(a), [-top] * len(a)):
+                assert _poly_mul(a, b) == schoolbook(a, b), (j, x)
+
+    def test_mul_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefficients = st.lists(st.integers(-(2**300), 2**300), max_size=40)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(coefficients, coefficients)
+        def check(a, b):
+            assert _poly_mul(a, b) == schoolbook(a, b)
+            assert _poly_mul(a, a) == schoolbook(a, list(a))
+
+        check()
+
     def test_divmod_monic(self):
         rng = random.Random(67)
         for _ in range(200):
@@ -251,11 +306,28 @@ class TestPrimitiveRootProduct:
             assert primitive_root_product(d, [3 * c for c in padded]) == 0
             assert primitive_root_product(d, [5] * d) == 0  # 5(1 + x + ... + x^(d-1))
 
+    @pytest.mark.parametrize("d", [682, 1018, 2026])
+    def test_chirp_residues_equal_the_dot_products(self, d):
+        # the radicals of the orbits of order p - 1 at p = 683, 1019, 2027;
+        # f reduced mod Phi_d, as the descent leaves it, and f folded mod
+        # x^d - 1, as a squarefree d is evaluated
+        rng = random.Random(d)
+        reduced = [rng.randrange(-(10**30), 10**30) for _ in range(euler_phi(d))]
+        folded = [rng.randrange(-(10**6), 10**6) for _ in range(d)]
+        for ell in islice(_crt_primes(d), 3):
+            for f in (reduced, folded, [0, 1], [7]):
+                assert _unit_values_product(f, d, ell) == unit_values_product(f, d, ell)
+
     def test_crt_primes_are_certified_and_of_the_right_residue(self):
         for d in (2, 486, 500, 512):
             primes = list(islice(_crt_primes(d), 5))
             assert len(set(primes)) == 5
             assert all(ell % d == 1 and ell < _MR_BOUND and is_prime(ell) for ell in primes)
+
+    def test_sieved_walk_finds_every_prime_in_order(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+        for d in (1, 2, 6, 10, 14, 42, 210, 682, 2026):
+            assert list(islice(_crt_primes(d), 30)) == list(islice(_fresh_crt_primes(d), 30)), d
 
     def test_crt_primes_are_certified_once_per_d(self, monkeypatch):
         # 294 = 2 * 3 * 7^2 descends to its radical 42, where the primes are drawn
