@@ -36,9 +36,10 @@ recomputed from scratch two independent ways, both in integers only:
   The kernel ``primitive_root_product`` computes Res(Phi_d, W) =
   prod W(zeta_d^j) over j in (Z/d)^*. Every d here is p^a e with e | p - 1,
   so it first takes exact relative norms down the tower
-  Q(zeta_d) > Q(zeta_{d/p}) > ... to the squarefree level rad(d), where
-  Gal(Q(zeta_d)/Q(zeta_{d/r})), r^2 | d, is {x -> x^(1 + k d/r)} and the norm
-  is read off Z[x^r]. For p = 2 that ends at Q and is exact. Otherwise,
+  Q(zeta_d) > Q(zeta_{d/p}) > ... to the squarefree level rad(d), with W held
+  mod x^(d/2) + 1 (even d) or x^d - 1 (odd d), never mod Phi_d. The norm is
+  every r-th coefficient of the product of the conjugates x -> x^(1 + k d/r),
+  r^2 | d. For p = 2 that ends at Q and is exact. Otherwise,
   modulo certified primes l = 1 (mod rad(d)), it takes the values at all
   primitive rad(d)-th roots of unity from one chirp-z correlation (a single
   packed big-integer product per prime) and recombines the residues of their
@@ -239,16 +240,13 @@ class RelClassNumber:
     method: str
 
 
-def relative_class_number(p: int, m: int, *, rho_budget: int = 2_000_000) -> RelClassNumber:
+def relative_class_number(p: int, m: int) -> RelClassNumber:
     """h^- by the product formula, factored (through its orbit norms) for candidate selection."""
     norms = orbit_norms(p, m)
-    value = factorize(_hminus_of_norms(p, m, norms), rho_budget=rho_budget, norms=norms)
+    value = factorize(_hminus_of_norms(p, m, norms), norms=norms)
     return RelClassNumber(p**m, value, "product-formula")
 
 
-def relative_class_number_det(
-    p: int, m: int, *, bound: int = 512, rho_budget: int = 2_000_000
-) -> RelClassNumber:
+def relative_class_number_det(p: int, m: int) -> RelClassNumber:
     """h^- by the determinant oracle; must agree with the product formula."""
-    value = hminus_determinant(p, m, bound=bound)
-    return RelClassNumber(p**m, factorize(value, rho_budget=rho_budget), "determinant-oracle")
+    return RelClassNumber(p**m, factorize(hminus_determinant(p, m)), "determinant-oracle")

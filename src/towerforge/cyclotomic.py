@@ -1,4 +1,4 @@
-"""Cyclotomic polynomials and the two exact integer kernels built on them.
+"""The two exact integer kernels of h^-, and the cyclotomic polynomials.
 
 Polynomials are dense integer coefficient lists, index = degree, and
 ``_poly_mul`` is their one product: schoolbook for short factors, one
@@ -10,15 +10,14 @@ remaindering until the modulus exceeds twice a proven bound, then the
 symmetric lift. ``integer_det`` (it serves the h^- determinant oracle)
 eliminates over F_l with each row packed into one int, under Hadamard's bound
 or a tighter one the caller proves. ``primitive_root_product`` is the norm of
-W(zeta_d). It first descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in
-exact integers, one relative norm (a product of r Galois conjugates, two
-half-length squarings for r = 2) per repeated prime factor r, down to the
-squarefree level rad(d) (the field-norm descent of Pornin and Prest, PKC
-2019). There, it takes the values mod l at all primitive rad(d)-th roots of
-unity from one cyclic correlation, a chirp-z transform (Bluestein, 1970) by
-i j = C(i + j, 2) - C(i, 2) - C(j, 2), under a Parseval/AM-GM bound proved for
-the original W; at rad(d) <= 2 the descent alone is exact and no prime is
-drawn. Neither kernel uses anything but integers.
+W(zeta_d), with every polynomial held mod x^(d/2) + 1 (even d) or x^d - 1
+(odd d), never mod Phi_d. It descends the tower Q(zeta_d) > Q(zeta_{d/r}) >
+... in exact integers, one relative norm per repeated prime factor r, down to
+rad(d) (the field-norm descent of Pornin and Prest, PKC 2019). There, it takes
+the values mod l at all primitive rad(d)-th roots of unity from one cyclic
+correlation, a chirp-z transform (Bluestein, 1970), under a Parseval/AM-GM
+bound proved for the original W; at rad(d) <= 2 the descent alone is exact.
+Neither kernel uses anything but integers.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import compress
 from math import gcd, prod
 
-from .arith import _MR_BOUND, euler_phi, factorize, is_prime
+from .arith import _MR_BOUND, factorize, is_prime
 
 
 def _trim(p: list) -> list:
@@ -99,29 +98,25 @@ def _poly_divmod_monic(num: list, den) -> tuple[list, list]:
     return quo, _trim(num[:dd])
 
 
-_cyclo_cache: dict[int, tuple[int, ...]] = {}
-
-
 def cyclo_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
-    Computed by recursively dividing x^n - 1 by the lower-index cyclotomic
-    polynomials; results are memoized.
+    For a prime r not dividing k, x^r has order k exactly when x has order k
+    or k r: r phi(k) distinct roots, so Phi_k(x^r) = Phi_k(x) Phi_{k r}(x).
+    With s = n / rad n, Phi_n(x) = Phi_{rad n}(x^s): zeta^s has order rad n
+    for each primitive n-th root zeta, and both sides are monic of degree
+    phi(n). So Phi_n comes from Phi_1(x^s) = x^s - 1 by one exact division
+    Phi_{k r}(x^s) = Phi_k(x^(r s)) / Phi_k(x^s) per prime r of n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cached = _cyclo_cache.get(n)
-    if cached is not None:
-        return cached
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod_monic(num, cyclo_poly(d))
-            assert not rem
-    result = tuple(num)
-    assert len(result) - 1 == euler_phi(n)
-    _cyclo_cache[n] = result
-    return result
+    primes = factorize(n).primes
+    s = n // prod(primes)
+    poly = [-1] + [0] * (s - 1) + [1]
+    for r in primes:
+        stretched = [0 if i % r else poly[i // r] for i in range(r * len(poly) - r + 1)]
+        poly = _poly_divmod_monic(stretched, poly)[0]
+    return tuple(poly)
 
 
 # d -> {l: omega of exact order d or d/2 (``_unit_values_product``), None until
@@ -237,55 +232,69 @@ def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None
     return _crt_reconstruct(lambda ell: _det_mod(matrix, ell), _crt_primes(1), 4 * square_bound)
 
 
+def _fold(f: list, d: int) -> list:
+    """f mod B_d = x^(d/2) + 1 for even d, x^d - 1 for odd d: deg B_d terms.
+
+    B_d vanishes at every primitive d-th root of unity (for even d it is the
+    product of the Phi_k over k | d, k not dividing d/2), so the fold keeps
+    every f(zeta_d^j). As B_1 = x - 1 and B_2 = x + 1, at d <= 2 it is that value.
+    """
+    n, sign = (d // 2, -1) if d % 2 == 0 else (d, 1)
+    out = [0] * n
+    for k in range(0, len(f), n):
+        s = sign ** (k // n)  # x^(k + i) = sign^(k/n) x^i
+        for i, c in enumerate(f[k : k + n]):
+            out[i] += s * c
+    return out
+
+
 def _relative_norm(f: list, d: int, r: int) -> list:
-    """The norm of f(zeta_d) down to Q(zeta_{d/r}), as a polynomial in zeta_{d/r}; r^2 | d.
+    """The norm of f(zeta_d) to Q(zeta_{d/r}), r^2 | d; f is folded mod B_d, the norm mod B_{d/r}.
 
-    f is reduced mod Phi_d and so is the result, mod Phi_{d/r}. Since r^2 | d,
-    (1 + d/r)^k = 1 + k d/r (mod d), so the r maps x -> x^(1 + k d/r),
-    0 <= k < r, are the subgroup of (Z/d)^* that fixes zeta_d^r: the Galois
-    group of Q(zeta_d) over Q(zeta_{d/r}). The norm lies in Z[zeta_d^r], and
-    Phi_d(x) = Phi_{d/r}(x^r) has degree r phi(d/r), so the norm reduced mod
-    Phi_d is h(x^r) with h reduced mod Phi_{d/r}: every r-th coefficient, and
-    only those, may be nonzero.
+    Since r^2 | d, (1 + d/r)^k = 1 + k d/r (mod d), so the maps x -> x^e,
+    e = 1 + k d/r, 0 <= k < r, form the subgroup G of (Z/d)^* fixing zeta_d^r:
+    Gal(Q(zeta_d)/Q(zeta_{d/r})). They are automorphisms of Z[x]/(B_d): for
+    odd d, x^d - 1 divides x^(d e) - 1; for even d, d/r is even, so e is odd
+    and (x^(d/2))^e = -1. The product P of the r conjugates of f, folded, is
+    thus G-invariant, P = (1/r) sum_k P(x^(1 + k d/r)). At a primitive
+    zeta = zeta_d, zeta^(d/r) is a primitive r-th root of unity, so
+    (1/r) sum_k zeta^(k i d/r) = [r | i] and P(zeta) = h(zeta^r), h = P[::r].
+    As zeta^r runs over the primitive (d/r)-th roots and h has
+    deg B_d / r = deg B_{d/r} terms (d/r is even when d is), h is the norm,
+    folded mod B_{d/r}.
 
-    For r = 2 the conjugate is x -> x^(1 + d/2) = -x, so with
-    f = E(x^2) + x O(x^2) the norm f(x) f(-x) is E(y)^2 - y O(y)^2 at y = x^2:
-    two squarings of half the length, reduced mod Phi_{d/2}(y). For odd r each
-    conjugate is an exponent permutation mod d, reduced mod Phi_d, and their
-    product is reduced mod Phi_d after each step.
+    For r = 2 the conjugate is x -> -x, so with f = E(x^2) + x O(x^2),
+    h = E(y)^2 - y O(y)^2: two squarings of half the length. For odd r each
+    conjugate is an exponent permutation mod d, and every product is folded.
     """
     if r == 2:
         even, odd = f[::2], f[1::2]
         norm = _poly_mul(even, even) + [0] * len(f)
         for i, c in enumerate(_poly_mul(odd, odd)):
             norm[i + 1] -= c
-        return _poly_divmod_monic(norm, cyclo_poly(d // 2))[1]
-    phi = cyclo_poly(d)
+        return _fold(norm, d // 2)
     norm = f
     for k in range(1, r):
         e = 1 + k * (d // r)
         conjugate = [0] * d
         for i, c in enumerate(f):
             conjugate[i * e % d] = c
-        conjugate = _poly_divmod_monic(conjugate, phi)[1]
-        norm = _poly_divmod_monic(_poly_mul(norm, conjugate), phi)[1]
-    assert not any(c for i, c in enumerate(norm) if i % r)
+        norm = _fold(_poly_mul(norm, _fold(conjugate, d)), d)
     return norm[::r]
 
 
 def _unit_values_product(f: list, d: int, ell: int) -> int:
     """prod f(zeta_d^j) over j in (Z/d)^*, mod a prime l = 1 (mod d) from ``_crt_primes(d)``.
 
-    d is squarefree and at least 3, and f has at most d terms: any
-    representative mod x^d - 1 has the same values at the d-th roots of unity.
+    d is squarefree and at least 3, and f is folded mod B_d (``_fold``).
     Let m = d for odd d. For d = 2m, m is odd, so if omega has exact order m
     then -omega has exact order d, the elements of order d are the -omega^j
-    with j in (Z/m)^*, and f(-x) mod x^m - 1 is evaluated at the omega^j
-    instead. omega of exact order m mod l is found once per (d, l) and kept in
-    the cache entry of l. The m values f(omega^j) come from one cyclic
-    correlation (chirp-z, Bluestein 1970), by
-    i j = C(i + j, 2) - C(i, 2) - C(j, 2) with C(k, 2) = k (k - 1)/2, which
-    needs no square root of omega:
+    with j in (Z/m)^*, and f(-x) is evaluated at the omega^j instead: f mod
+    x^m + 1 with its odd terms negated, which is f(-x) mod x^m - 1. omega of
+    exact order m mod l is found once per (d, l) and kept in the cache entry
+    of l. The m values f(omega^j) come from one cyclic correlation (chirp-z,
+    Bluestein 1970), by i j = C(i + j, 2) - C(i, 2) - C(j, 2) with
+    C(k, 2) = k (k - 1)/2, which needs no square root of omega:
     f(omega^j) = omega^(-C(j, 2)) sum_i a_i b_(i + j) with
     a_i = f_i omega^(-C(i, 2)) and b_k = omega^(C(k, 2)). As m is odd,
     C(k + m, 2) = C(k, 2) + m (k + (m - 1)/2) = C(k, 2) (mod m), so b has
@@ -295,9 +304,8 @@ def _unit_values_product(f: list, d: int, ell: int) -> int:
     are read off one table of the powers of omega.
     """
     m = d // 2 if d % 2 == 0 else d
-    if m < d:  # f(-x) mod x^m - 1, m odd
-        f = f + [0] * (d - len(f))
-        f = [hi - lo if i & 1 else lo - hi for i, (lo, hi) in enumerate(zip(f[:m], f[m:]))]
+    if m < d:  # f(-x)
+        f = [-c if i & 1 else c for i, c in enumerate(f)]
     entry = _crt_prime_cache[d]
     omega = entry[ell]
     if omega is None:
@@ -331,14 +339,12 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     this is Res(Phi_d, W), the norm N of W(zeta_d) from Q(zeta_d) to Q. As
     zeta_d^d = 1, W may have any length: it is folded to w_0..w_{d-1} first.
 
-    Descent. If some prime r has r^2 | d, W is reduced mod Phi_d to f, and
-    while some r^2 | d, f is replaced by its norm to Q(zeta_{d/r})
-    (``_relative_norm``) and d by d/r; norms compose along the tower, so N is
-    unchanged. Everything stays in Z and d ends at its radical. If that is 1
-    or 2, Q(zeta_d) = Q and N is the constant left (W is reduced mod Phi_d
-    for these d as well): no prime is needed. A squarefree d >= 3 keeps the
-    folded W as f, since its values at d-th roots of unity depend only on W
-    mod x^d - 1.
+    Descent. f is W folded mod B_d (``_fold``), a multiple of Phi_d, which
+    is never formed. While some prime r has r^2 | d, f is replaced by its norm
+    to Q(zeta_{d/r}), folded mod B_{d/r} (``_relative_norm``), and d by d/r;
+    norms compose along the tower, so N is unchanged. Everything stays in Z
+    and d ends at its radical. If that is 1 or 2, B_d = x - 1 or x + 1 and
+    the one coefficient left is N: no prime is needed.
 
     Residues. Otherwise take a prime l = 1 (mod d) and omega in F_l of exact
     order d. omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some
@@ -350,7 +356,7 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     would cost phi(d) len(f) products per prime. Every l lies below the
     deterministic Miller-Rabin bound and is certified by ``is_prime``.
 
-    Bound. It is proved for the original d and folded W, since N is the same
+    Bound. It is proved for the original d and w_0..w_{d-1}, since N is the same
     integer. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)
     = 0, so subtracting one integer c from every w_i leaves each W(zeta_d^j)
     unchanged; c is the floor of the mean weight, or 0 when d = 1. Let
@@ -359,27 +365,23 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     identity sum_j |v_j|^2 = d S. Over the phi = phi(d) units j, AM-GM gives
     N^2 = prod |v_j|^2 <= (sum |v_j|^2 / phi)^phi <= (d S / phi)^phi, so
     4 N^2 phi^phi <= 4 (d S)^phi, the limit ``_crt_reconstruct`` is given. A
-    zero W needs no prime at all.
+    zero W has limit 0, so no prime is drawn for it.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    folded = [0] * d
-    for i, c in enumerate(weights):
-        folded[i % d] += c
+    folded = [sum(weights[i::d]) for i in range(d)]
     factors = factorize(d).factors
     phi = prod((r - 1) * r ** (e - 1) for r, e in factors)
     shift = sum(folded) // d if d > 1 else 0
     limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi
 
-    f = folded
-    if d <= 2 or any(e > 1 for _, e in factors):
-        f = _poly_divmod_monic(f, cyclo_poly(d))[1]
-        for r, e in factors:
-            for _ in range(e - 1):
-                f = _relative_norm(f, d, r)
-                d //= r
-    if d <= 2 or not f:
-        return f[0] if f else 0
+    f = _fold(folded, d)
+    for r, e in factors:
+        for _ in range(e - 1):
+            f = _relative_norm(f, d, r)
+            d //= r
+    if d <= 2:
+        return f[0]
     return _crt_reconstruct(
         lambda ell: _unit_values_product(f, d, ell), _crt_primes(d), limit, phi**phi
     )

@@ -164,7 +164,6 @@ def cached_relative_class_number(
     cache: HminusCache | None = None,
     *,
     verify: bool = False,
-    rho_budget: int = 2_000_000,
 ) -> FactoredInteger:
     """h^- through the cache; verify=True recomputes and cross-checks regardless.
 
@@ -175,7 +174,7 @@ def cached_relative_class_number(
     entry = cache.lookup(conductor) if cache is not None else None
     if entry is not None and not verify:
         return entry.h_minus
-    fresh = relative_class_number(p, m, rho_budget=rho_budget).value
+    fresh = relative_class_number(p, m).value
     if entry is not None and entry.h_minus != fresh:
         raise CacheMismatchError(
             f"conductor {conductor}: cached {entry.h_minus.value} = {entry.h_minus}, "
@@ -267,7 +266,6 @@ def search_candidates(
     m_to: int,
     *,
     conductor_budget: int = 2048,
-    rho_budget: int = 2_000_000,
     cache: HminusCache | None = None,
 ) -> SearchResult:
     """Sweep conductors p^m, m_from <= m <= m_to, and rank every prime degree.
@@ -295,7 +293,7 @@ def search_candidates(
         if conductor <= 2:
             continue  # h^- = 1, no candidate degrees
         try:
-            h_minus = cached_relative_class_number(p, m, cache, rho_budget=rho_budget)
+            h_minus = cached_relative_class_number(p, m, cache)
         except FactorizationError as exc:
             skipped.append((conductor, f"factorization budget exhausted: {exc}"))
             budget_exceeded = True

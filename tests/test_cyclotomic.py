@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -18,10 +18,11 @@ from cyclo_reference import (
 )
 
 from towerforge import cyclotomic
-from towerforge.arith import _MR_BOUND, euler_phi, is_prime
+from towerforge.arith import _MR_BOUND, euler_phi, factorize, is_prime
 from towerforge.cyclotomic import (
     _crt_primes,
     _det_mod,
+    _fold,
     _poly_divmod_monic,
     _poly_mul,
     _relative_norm,
@@ -89,6 +90,13 @@ class TestCycloPoly:
     def test_invalid(self):
         with pytest.raises(ValueError):
             cyclo_poly(0)
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in (*range(1, 401), 2026, 2048, 2310):
+            expected = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+            assert list(cyclo_poly(n)) == expected, n
 
 
 def schoolbook(a, b):
@@ -309,14 +317,29 @@ class TestPrimitiveRootProduct:
     @pytest.mark.parametrize("d", [682, 1018, 2026])
     def test_chirp_residues_equal_the_dot_products(self, d):
         # the radicals of the orbits of order p - 1 at p = 683, 1019, 2027;
-        # f reduced mod Phi_d, as the descent leaves it, and f folded mod
-        # x^d - 1, as a squarefree d is evaluated
+        # f of phi(d) terms and of d terms, as W folded mod x^d - 1 has, each
+        # handed over folded mod B_d = x^(d/2) + 1 by the kernel's own fold
+        # and compared with the dot products on f itself, which checks the
+        # fold too
         rng = random.Random(d)
         reduced = [rng.randrange(-(10**30), 10**30) for _ in range(euler_phi(d))]
         folded = [rng.randrange(-(10**6), 10**6) for _ in range(d)]
         for ell in islice(_crt_primes(d), 3):
             for f in (reduced, folded, [0, 1], [7]):
-                assert _unit_values_product(f, d, ell) == unit_values_product(f, d, ell)
+                assert _unit_values_product(_fold(f, d), d, ell) == unit_values_product(f, d, ell)
+
+    def test_never_builds_or_divides_by_phi_d(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Phi_d built or divided by on the orbit-norm path")
+
+        monkeypatch.setattr(cyclotomic, "cyclo_poly", refuse)
+        monkeypatch.setattr(cyclotomic, "_poly_divmod_monic", refuse)
+        radicals = {prod(factorize(d).primes) for d in SWEEP_ORBIT_ORDERS}
+        squarefree = (30, 66, 78, 105, 130, 190, 210)
+        odd = (9, 25, 27, 45, 243, 343)
+        rng = random.Random(61)
+        for d in sorted({1, 2, *SWEEP_ORBIT_ORDERS, *radicals, *squarefree, *odd}):
+            primitive_root_product(d, [rng.randrange(-9, 10) for _ in range(d + 1)])
 
     def test_crt_primes_are_certified_and_of_the_right_residue(self):
         for d in (2, 486, 500, 512):
@@ -371,12 +394,14 @@ class TestRelativeNorm:
     @pytest.mark.parametrize(
         "d, r",
         [(8, 2), (18, 3), (50, 5), (98, 7), (54, 3), (100, 2), (100, 5), (294, 7),
-         (486, 3), (500, 2), (500, 5), (512, 2)],
+         (486, 3), (500, 2), (500, 5), (512, 2), (27, 3), (245, 7)],
     )
     def test_product_of_conjugates(self, d, r):
-        # Gal(Q(zeta_d)/Q(zeta_{d/r})) is the kernel of (Z/d)^* -> (Z/(d/r))^*
+        # Gal(Q(zeta_d)/Q(zeta_{d/r})) is the kernel of (Z/d)^* -> (Z/(d/r))^*;
+        # the descent holds f folded mod B_d, and its norm comes back folded
+        # mod B_{d/r}, so it is reduced mod Phi_{d/r} here to compare
         rng = random.Random(d * r)
-        f = [rng.randrange(-3, 4) for _ in range(euler_phi(d))]
+        f = [rng.randrange(-3, 4) for _ in range(d)]
         group = [j for j in range(1, d) if gcd(j, d) == 1 and j % (d // r) == 1]
         assert len(group) == r
         expected = CycloElement.from_rational(1, d)
@@ -385,12 +410,14 @@ class TestRelativeNorm:
             for i, c in enumerate(f):
                 conjugate[i * j % d] += c
             expected = expected * CycloElement(d, conjugate)
-        norm = _relative_norm(f, d, r)
-        assert len(norm) <= euler_phi(d // r)
-        assert CycloElement(d // r, norm).lift_to(d) == expected
+        norm = _relative_norm(_fold(f, d), d, r)
+        assert len(norm) == len(_fold([], d // r))
+        reduced = _poly_divmod_monic(norm, cyclo_poly(d // r))[1]
+        assert CycloElement(d // r, reduced).lift_to(d) == expected
 
     def test_zero(self):
-        assert _relative_norm([], 8, 2) == []
+        assert _relative_norm(_fold([], 8), 8, 2) == _fold([], 4) == [0, 0]
+        assert _relative_norm(_fold([], 27), 27, 3) == _fold([], 9) == [0] * 9
 
 
 def _fresh_crt_primes(d):
