@@ -15,20 +15,18 @@ from .arith import (
     is_prime_power,
     mult_order,
 )
-from .bernoulli import BernoulliTable, bernoulli, is_regular_prime
+from .bernoulli import is_regular_prime
 from .characters import (
     RelClassNumber,
     hminus_determinant,
     hminus_product,
     relative_class_number,
-    relative_class_number_det,
 )
 from .criteria import (
     Conclusion,
     ConditionIVerdict,
     ConditionIIVerdict,
     CriterionReport,
-    GsData,
     TowerCandidate,
     check_condition_I,
     check_condition_II,

@@ -245,8 +245,3 @@ def relative_class_number(p: int, m: int) -> RelClassNumber:
     norms = orbit_norms(p, m)
     value = factorize(_hminus_of_norms(p, m, norms), norms=norms)
     return RelClassNumber(p**m, value, "product-formula")
-
-
-def relative_class_number_det(p: int, m: int) -> RelClassNumber:
-    """h^- by the determinant oracle; must agree with the product formula."""
-    return RelClassNumber(p**m, factorize(hminus_determinant(p, m)), "determinant-oracle")

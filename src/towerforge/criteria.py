@@ -73,23 +73,6 @@ class CriterionReport:
     conclusion: Conclusion
 
 
-@dataclass(frozen=True)
-class GsData:
-    """Cohomology/signature data entering the finiteness obstruction."""
-
-    h1: int
-    r1: int
-    r2: int
-
-    @property
-    def h2_lower(self) -> Fraction:
-        # a finite tower group would need h2 strictly above h1^2/4
-        return Fraction(self.h1 * self.h1, 4)
-
-    def forces_infinite(self) -> bool:
-        return gs_forces_infinite(self.h1, self.r1, self.r2)
-
-
 def check_condition_I(c: TowerCandidate, regular: bool) -> ConditionIVerdict:
     """Regularity of p together with f^2 - 4f >= 2 h phi(p^m)."""
     margin = c.f * c.f - 4 * c.f - 2 * c.h * c.phi_pm

@@ -8,7 +8,6 @@ import pytest
 from towerforge.arith import factorize, mult_order
 from towerforge.criteria import (
     Conclusion,
-    GsData,
     TowerCandidate,
     check_condition_I,
     check_condition_II,
@@ -193,11 +192,6 @@ class TestGsObstruction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             gs_forces_infinite(-1, 0, 0)
-
-    def test_gsdata(self):
-        data = GsData(h1=21121, r1=0, r2=1_351_744)
-        assert data.forces_infinite()
-        assert data.h2_lower == Fraction(21121 * 21121, 4)
 
 
 class TestVerifyCandidate:

@@ -1,6 +1,10 @@
 """Cache, table reproduction, candidate search, and report serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -152,6 +156,41 @@ class TestCache:
         for entry in entries.values():
             cache.store(entry)
         assert cache.load() == entries
+
+    def test_concurrent_appends_from_four_processes(self, cache):
+        # the 800 smallest cacheable conductors: prime powers in [3, 2^20]
+        conductors = list(islice((q for q in range(3, 2**20) if is_prime_power(q)), 800))
+        script = (
+            "import sys\n"
+            "from towerforge.arith import FactoredInteger\n"
+            "from towerforge.pipeline import CacheEntry, HminusCache\n"
+            "cache = HminusCache(sys.argv[1])\n"
+            "conductors = [int(q) for q in sys.argv[2].split(',')]\n"
+            "sys.stdin.read()  # wait until every process has started\n"
+            "for q in conductors:\n"
+            "    cache.store(CacheEntry(q, FactoredInteger(1, ()), 't', 'product-formula'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(cache.path), ",".join(map(str, conductors[i::4]))],
+                stdin=subprocess.PIPE,
+                env=env,
+            )
+            for i in range(4)
+        ]
+        try:
+            for worker in workers:
+                worker.stdin.close()
+            codes = [worker.wait(timeout=60) for worker in workers]
+        finally:
+            for worker in workers:
+                worker.kill()
+        assert codes == [0] * 4
+        assert sorted(cache.load()) == conductors
+        raw = cache.path.read_bytes()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 800
+        assert all(raw.split(b"\n")[:-1])
 
     def test_accelerator_path(self, cache):
         value = cached_relative_class_number(2, 7, cache)
