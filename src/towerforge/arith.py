@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: primality, factorization, totient, multiplicative order.
+"""Exact integer arithmetic: primality, factorization, totient, multiplicative order,
+and the one admission check for a conductor p^m (``admit_conductor``).
 
 Everything here is deterministic. Primality up to 10^4 is read from a sieve of
 Eratosthenes; above that it uses a fixed Miller-Rabin base set that is proven
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt, prod
 
-from .errors import FactorizationError
+from .errors import BudgetExceededError, FactorizationError
 
 # First 13 primes certify Miller-Rabin deterministically below this bound
 # (Sorenson-Webster).
@@ -280,3 +281,58 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     if len(f.factors) == 1:
         return f.factors[0]
     return None
+
+
+def check_exponent(p: int, m: int) -> None:
+    """Raise ValueError unless p is prime and m >= 1, before p^m is formed."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
+def _over_by_bits(p: int, m: int, bound: int) -> bool:
+    """True only when p^m > max(bound, 2), read off bit lengths without forming p^m.
+
+    p^m >= 2^(m (bitlen p - 1)), and bound < 2^bitlen(bound); False decides nothing.
+    """
+    return m * (p.bit_length() - 1) > bound.bit_length() + 1
+
+
+def admit_conductor(p: int, m: int, budget: int | None = None) -> int:
+    """The conductor p^m, admitted by the one check every caller shares.
+
+    In order: p is prime and m >= 1 (``check_exponent``); with a budget, a
+    p^m over it by bit length alone is refused before it is formed;
+    p^m >= 3, since conductor 2 has no odd characters (ValueError); and
+    p^m <= budget. A refusal over budget raises BudgetExceededError naming
+    the conductor by ``conductor_label``.
+    """
+    check_exponent(p, m)
+    if budget is None or not _over_by_bits(p, m, budget):
+        q = p**m
+        if q <= 2:
+            raise ValueError(f"conductor {q} has no odd characters; h^- is trivially 1")
+        if budget is None or q <= budget:
+            return q
+    raise BudgetExceededError(f"conductor {conductor_label(p, m)} exceeds budget {budget}")
+
+
+# int-to-str converts at most 4300 digits by default
+_DECIMAL_BOUND = 10**4300
+
+
+def conductor_label(p: int, m: int) -> int | str:
+    """p^m, or the text "p^m" where int-to-str would refuse its decimal form.
+
+    A p^m that is longer than any convertible integer by its bit length alone
+    is named without being formed.
+    """
+    if not _over_by_bits(p, m, _DECIMAL_BOUND):
+        q = p**m
+        try:
+            str(q)
+            return q
+        except ValueError:  # more digits than int-to-str converts
+            pass
+    return f"{p}^{m}"

@@ -87,7 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .arith import FactoredInteger, euler_phi, factorize, is_prime
+from .arith import FactoredInteger, admit_conductor, conductor_label, euler_phi, factorize
 from .cyclotomic import integer_det, primitive_root_product
 from .errors import BudgetExceededError, IntegralityError
 
@@ -103,50 +103,6 @@ def _primitive_root(p: int, m: int) -> int:
         if all(pow(g, phi // r, q) != 1 for r in prime_divisors):
             return g
     raise AssertionError("no primitive root found for an odd prime power")
-
-
-def _validated_exponent(p: int, m: int) -> None:
-    """Raise ValueError unless p is prime and m >= 1, before p^m is formed."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-
-def _validated_conductor(p: int, m: int) -> int:
-    _validated_exponent(p, m)
-    q = p**m
-    if q <= 2:
-        raise ValueError(f"conductor {q} has no odd characters; h^- is trivially 1")
-    return q
-
-
-def _over_by_bits(p: int, m: int, bound: int) -> bool:
-    """True only when p^m > max(bound, 2), read off bit lengths without forming p^m.
-
-    p^m >= 2^(m (bitlen p - 1)), and bound < 2^bitlen(bound); False decides nothing.
-    """
-    return m * (p.bit_length() - 1) > bound.bit_length() + 1
-
-
-# int-to-str converts at most 4300 digits by default
-_DECIMAL_BOUND = 10**4300
-
-
-def conductor_label(p: int, m: int) -> int | str:
-    """p^m, or the text "p^m" where int-to-str would refuse its decimal form.
-
-    A p^m that is longer than any convertible integer by its bit length alone
-    is named without being formed.
-    """
-    if not _over_by_bits(p, m, _DECIMAL_BOUND):
-        q = p**m
-        try:
-            str(q)
-            return q
-        except ValueError:  # more digits than int-to-str converts
-            pass
-    return f"{p}^{m}"
 
 
 def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> int:
@@ -184,7 +140,7 @@ def _orbit_vector(p: int, m: int, q: int) -> tuple[list[int], list[int]]:
 
 def orbit_norms(p: int, m: int) -> list[tuple[int, int]]:
     """[(d, Res(Phi_d, W))], one pair per Galois orbit of odd characters of conductor p^m."""
-    q = _validated_conductor(p, m)
+    q = admit_conductor(p, m)
     vector, orders = _orbit_vector(p, m, q)
     assert sum(map(euler_phi, orders)) == euler_phi(q) // 2
     return [(d, primitive_root_product(d, vector)) for d in orders]
@@ -224,9 +180,11 @@ def _bordered_system(q: int) -> tuple[list[list[int]], int]:
 
 def hminus_determinant(p: int, m: int, *, bound: int = 512) -> int:
     """h^-(conductor p^m) by the half-system determinant; the character-free oracle."""
-    q = _validated_conductor(p, m)
-    if q > bound:
-        raise BudgetExceededError(f"determinant oracle bound {bound} exceeded by conductor {q}")
+    try:
+        q = admit_conductor(p, m, bound)
+    except BudgetExceededError:
+        over = f"determinant oracle bound {bound} exceeded by conductor {conductor_label(p, m)}"
+        raise BudgetExceededError(over) from None
     det = integer_det(*_bordered_system(q))
     return _positive_quotient(q, abs(det), 2 * q, "determinant")
 

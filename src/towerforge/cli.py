@@ -1,6 +1,9 @@
 """towerforge command line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 budget exceeded.
+``hminus``, ``verify`` and ``search`` admit (p, m, --budget) through the one
+check ``arith.admit_conductor``, in its order; its ValueError exits 2 and its
+BudgetExceededError exits 3.
 The h^- cache path defaults to ./hminus-cache.jsonl and can be overridden via
 the TOWERFORGE_CACHE environment variable.
 """
@@ -13,15 +16,9 @@ import os
 import sys
 from functools import cache
 
-from .arith import euler_phi, mult_order
+from .arith import admit_conductor, euler_phi, mult_order
 from .bernoulli import is_regular_prime
-from .characters import (
-    _over_by_bits,
-    _validated_conductor,
-    _validated_exponent,
-    conductor_label,
-    hminus_determinant,
-)
+from .characters import hminus_determinant
 from .criteria import Conclusion, TowerCandidate, verify_candidate
 from .errors import (
     BudgetExceededError,
@@ -51,23 +48,8 @@ def _cache_from_env() -> HminusCache:
     return HminusCache(os.environ.get("TOWERFORGE_CACHE", DEFAULT_CACHE_NAME))
 
 
-def _budgeted_conductor(args) -> int:
-    """p^m once p and m are valid, refused when it exceeds --budget.
-
-    A conductor whose bit length alone puts it over budget is refused without
-    being formed, and named as p^m where its decimal form is too long.
-    """
-    p, m, budget = args.p, args.m, args.budget
-    _validated_exponent(p, m)
-    if not _over_by_bits(p, m, budget):
-        conductor = _validated_conductor(p, m)
-        if conductor <= budget:
-            return conductor
-    raise BudgetExceededError(f"conductor {conductor_label(p, m)} exceeds budget {budget}")
-
-
 def _cmd_hminus(args) -> int:
-    conductor = _budgeted_conductor(args)
+    conductor = admit_conductor(args.p, args.m, args.budget)
     value = cached_relative_class_number(
         args.p, args.m, _cache_from_env(), verify=args.verify_cache
     )
@@ -97,7 +79,7 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _budgeted_conductor(args)
+    admit_conductor(args.p, args.m, args.budget)
     h_minus = cached_relative_class_number(args.p, args.m, _cache_from_env())
     candidate = TowerCandidate.build(args.p, args.m, args.h, h_minus)
     report = verify_candidate(candidate)

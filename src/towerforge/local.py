@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
 
+from .arith import check_exponent
 from .cyclotomic import _poly_divmod_monic, _poly_mul, cyclo_poly
 from .errors import CofactorError, PrecisionError
 
@@ -135,6 +136,7 @@ class _LocalRing:
 
 @cache
 def _local_ring(p: int, m: int) -> _LocalRing:
+    check_exponent(p, m)
     return _LocalRing(p, m)
 
 

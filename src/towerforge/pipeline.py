@@ -17,16 +17,10 @@ from io import StringIO
 from math import prod
 from pathlib import Path
 
-from .arith import FactoredInteger, is_prime_power
-from .characters import (
-    _over_by_bits,
-    _validated_conductor,
-    _validated_exponent,
-    conductor_label,
-    relative_class_number,
-)
+from .arith import FactoredInteger, admit_conductor, check_exponent, conductor_label, is_prime_power
+from .characters import relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
-from .errors import CacheMismatchError, FactorizationError
+from .errors import BudgetExceededError, CacheMismatchError, FactorizationError
 
 __all__ = [
     "CacheEntry",
@@ -170,7 +164,7 @@ def cached_relative_class_number(
     p and m are validated before the lookup, so a cached conductor answers
     exactly the (p, m) that would compute it.
     """
-    conductor = _validated_conductor(p, m)
+    conductor = admit_conductor(p, m)
     entry = cache.lookup(conductor) if cache is not None else None
     if entry is not None and not verify:
         return entry.h_minus
@@ -183,6 +177,10 @@ def cached_relative_class_number(
     if entry is None and cache is not None:
         cache.store(CacheEntry(conductor, fresh, _now(), "product-formula"))
     return fresh
+
+
+# report columns, in TableRow's field order
+_COLUMNS = ("p", "conductor", "h", "f", "cond_I", "margin_I", "cond_II", "bound_II", "conclusion")
 
 
 @dataclass(frozen=True)
@@ -215,17 +213,7 @@ class TableRow:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "conductor": self.conductor,
-            "h": self.h,
-            "f": self.f,
-            "cond_I": self.cond_i,
-            "margin_I": self.margin_i,
-            "cond_II": self.cond_ii,
-            "bound_II": self.bound_ii,
-            "conclusion": self.conclusion,
-        }
+        return dict(zip(_COLUMNS, vars(self).values()))  # __init__ sets fields in order
 
 
 def reproduce_table(cache: HminusCache | None = None) -> list[TableRow]:
@@ -270,28 +258,30 @@ def search_candidates(
 ) -> SearchResult:
     """Sweep conductors p^m, m_from <= m <= m_to, and rank every prime degree.
 
-    p must be prime and m_from >= 1 (ValueError otherwise, before any
-    conductor is formed). The sweep stops at the first conductor over budget,
-    flagged once for the rest of the range and named by ``conductor_label``.
-    Factorizations that exhaust their iteration budget are flagged and
-    skipped. The remaining reports are sorted best first (conclusion rank,
-    then condition-I margin descending).
+    Each p^m is admitted by ``arith.admit_conductor``: p must be prime and
+    m_from >= 1 (ValueError otherwise, before any conductor is formed), and
+    conductor 2 is passed over (h^- = 1, no candidate degrees). The sweep
+    stops at the first conductor over budget, flagged once for the rest of
+    the range and named by ``conductor_label``. Factorizations that exhaust
+    their iteration budget are flagged and skipped. The remaining reports are
+    sorted best first (conclusion rank, then condition-I margin descending).
     """
-    _validated_exponent(p, m_from)
+    check_exponent(p, m_from)
     reports: list[CriterionReport] = []
     skipped: list[tuple[int | str, str]] = []
     budget_exceeded = False
     for m in range(m_from, m_to + 1):
-        if _over_by_bits(p, m, conductor_budget) or p**m > conductor_budget:
+        try:
+            conductor = admit_conductor(p, m, conductor_budget)
+        except ValueError:  # p is prime and m >= 1, so this is p^m = 2: h^- = 1
+            continue
+        except BudgetExceededError:
             # every later p^m is larger still: one entry names the whole range
             ms = f"{m}..{m_to}" if m < m_to else f"{m}"
             reason = f"conductor budget {conductor_budget} exceeded for m = {ms}"
             skipped.append((conductor_label(p, m), reason))
             budget_exceeded = True
             break
-        conductor = p**m
-        if conductor <= 2:
-            continue  # h^- = 1, no candidate degrees
         try:
             h_minus = cached_relative_class_number(p, m, cache)
         except FactorizationError as exc:
@@ -306,9 +296,6 @@ def search_candidates(
             reports.append(verify_candidate(candidate))
     reports.sort(key=lambda r: (_CONCLUSION_RANK[r.conclusion.value], -r.cond_i.margin))
     return SearchResult(tuple(reports), tuple(skipped), budget_exceeded)
-
-
-_COLUMNS = ("p", "conductor", "h", "f", "cond_I", "margin_I", "cond_II", "bound_II", "conclusion")
 
 
 def _cell(value) -> str:

@@ -10,13 +10,15 @@ from arith_reference import miller_rabin, wheel_factorize
 from towerforge import arith
 from towerforge.arith import (
     FactoredInteger,
+    admit_conductor,
+    conductor_label,
     euler_phi,
     factorize,
     is_prime,
     is_prime_power,
     mult_order,
 )
-from towerforge.errors import FactorizationError
+from towerforge.errors import BudgetExceededError, FactorizationError
 
 
 def sieve(limit):
@@ -280,3 +282,40 @@ class TestIsPrimePower:
         assert is_prime_power(7) == (7, 1)
         assert is_prime_power(12) is None
         assert is_prime_power(1) is None
+
+
+class TestAdmitConductor:
+    """One order: p prime, m >= 1, budget by bit length, p^m >= 3, p^m <= budget."""
+
+    @pytest.mark.parametrize("p, m, budget", [(3, 5, None), (3, 5, 243), (2, 2, 4), (2, 11, 2048)])
+    def test_admitted(self, p, m, budget):
+        assert admit_conductor(p, m, budget) == p**m
+
+    @pytest.mark.parametrize(
+        "p, m, budget, message",
+        [
+            (4, 10**6, 1, "4 is not prime"),
+            (1, 0, 1, "1 is not prime"),
+            (3, 0, 1, "m must be >= 1"),
+            (2, 1, None, "conductor 2 has no odd characters; h^- is trivially 1"),
+            (2, 1, -5, "conductor 2 has no odd characters; h^- is trivially 1"),
+        ],
+    )
+    def test_value_errors_come_first(self, p, m, budget, message):
+        with pytest.raises(ValueError) as refusal:
+            admit_conductor(p, m, budget)
+        assert str(refusal.value) == message
+
+    @pytest.mark.parametrize(
+        "p, m, budget, label",
+        [(3, 5, 242, "243"), (2, 2, 3, "4"), (3, 1, -5, "3"), (2, 10**6, 2048, "2^1000000")],
+    )
+    def test_over_budget(self, p, m, budget, label):
+        with pytest.raises(BudgetExceededError) as refusal:
+            admit_conductor(p, m, budget)
+        assert str(refusal.value) == f"conductor {label} exceeds budget {budget}"
+
+    def test_label_is_decimal_while_int_to_str_converts_it(self):
+        assert conductor_label(2, 14000) == 2**14000
+        assert conductor_label(2, 15000) == "2^15000"
+        assert conductor_label(3, 10**9) == "3^1000000000"

@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from cyclo_reference import CycloElement, bareiss_det, characters, gen_bernoulli_b1
+from test_cli import _cap_address_space, cli_env
 
 from towerforge import arith
 from towerforge.arith import euler_phi, factorize, is_prime
@@ -237,9 +240,37 @@ class TestDeterminantOracle:
             assert hminus_determinant(p, 1) == hminus_product(p, 1), p
 
     def test_bound(self):
-        with pytest.raises(BudgetExceededError):
+        message = "^determinant oracle bound 512 exceeded by conductor 1024$"
+        with pytest.raises(BudgetExceededError, match=message):
             hminus_determinant(2, 10)
         assert hminus_determinant(2, 9) == hminus_product(2, 9)
+
+    def test_conductor_2_is_refused_before_the_bound_is_compared(self):
+        with pytest.raises(ValueError, match="^conductor 2 has no odd characters"):
+            hminus_determinant(2, 1, bound=1)
+
+    def test_far_over_its_bound_is_refused_without_being_formed(self, tmp_path):
+        # 2^(10^10) alone would take 1.25 GB; the child may map at most 1 GB
+        pytest.importorskip("resource")
+        script = (
+            "from towerforge.characters import hminus_determinant\n"
+            "from towerforge.errors import BudgetExceededError\n"
+            "try:\n"
+            "    hminus_determinant(2, 10**10)\n"
+            "except BudgetExceededError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=cli_env(tmp_path),
+            cwd=tmp_path,
+            timeout=20,
+            preexec_fn=_cap_address_space,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "determinant oracle bound 512 exceeded by conductor 2^10000000000\n"
 
 
 def half_system_matrix(q):

@@ -264,6 +264,13 @@ class TestSearch:
         assert result.returncode == 3
         assert "skipped conductor 256" in result.stderr
 
+    def test_conductor_2_is_passed_over_before_the_budget_is_compared(self, tmp_path):
+        result = run_cli(
+            ["search", "--p", "2", "--m-from", "1", "--m-to", "3", "--budget", "1"], tmp_path
+        )
+        assert result.returncode == 3
+        assert result.stderr == "skipped conductor 4: conductor budget 1 exceeded for m = 2..3\n"
+
     def test_search_stops_at_the_first_conductor_over_budget(self, tmp_path):
         # without the stop, every p^m up to 2^300000 would be formed and listed
         argv = ["search", "--p", "2", "--m-from", "12", "--m-to", "300000"]
@@ -376,6 +383,62 @@ class TestConductorTooLongToPrint:
         )
         assert result.returncode == 3
         assert result.stderr == "budget exceeded: conductor 2^10000000000 exceeds budget 2048\n"
+
+
+NOT_PRIME_4 = (2, "error: 4 is not prime\n")
+M_BELOW_1 = (2, "error: m must be >= 1\n")
+NO_ODD_CHARACTERS = (2, "error: conductor 2 has no odd characters; h^- is trivially 1\n")
+
+
+def over_budget(conductor, budget, m):
+    """(exit code, stderr) of hminus and verify, then of search --m-from m --m-to m."""
+    return (
+        (3, f"budget exceeded: conductor {conductor} exceeds budget {budget}\n"),
+        (3, f"skipped conductor {conductor}: conductor budget {budget} exceeded for m = {m}\n"),
+    )
+
+
+# (p, m, --budget, (exit code, stderr) of hminus and verify, and of search)
+ADMISSION_REFUSALS = [
+    (4, 2, None, NOT_PRIME_4, NOT_PRIME_4),
+    (1, 2, None, (2, "error: 1 is not prime\n"), (2, "error: 1 is not prime\n")),
+    (4, 15000, None, NOT_PRIME_4, NOT_PRIME_4),
+    (6, 0, 1, (2, "error: 6 is not prime\n"), (2, "error: 6 is not prime\n")),
+    (3, 0, None, M_BELOW_1, M_BELOW_1),
+    (3, -2, None, M_BELOW_1, M_BELOW_1),
+    (2, 0, 1, M_BELOW_1, M_BELOW_1),
+    (2, 1, None, NO_ODD_CHARACTERS, (0, "")),
+    (2, 1, 1, NO_ODD_CHARACTERS, (0, "")),
+    (2, 1, 128, NO_ODD_CHARACTERS, (0, "")),
+    (3, 1, 1, *over_budget(3, 1, 1)),
+    (2, 2, 3, *over_budget(4, 3, 2)),
+    (3, 5, 128, *over_budget(243, 128, 5)),
+    (2, 8, 128, *over_budget(256, 128, 8)),
+    (2, 14000, None, *over_budget(2**14000, 2048, 14000)),
+    (2, 15000, None, *over_budget("2^15000", 2048, 15000)),
+]
+
+
+@pytest.mark.parametrize("command", ["hminus", "verify", "search"])
+@pytest.mark.parametrize("p, m, budget, refusal, search_refusal", ADMISSION_REFUSALS)
+def test_admission_refusals(
+    cli, tmp_path, capsys, monkeypatch, command, p, m, budget, refusal, search_refusal
+):
+    """Every command admits (p, m, --budget) in one order, and names the first failure."""
+    cache = tmp_path / "cache.jsonl"
+    monkeypatch.setenv("TOWERFORGE_CACHE", str(cache))
+    argv = {
+        "hminus": ["hminus", "--p", str(p), "--m", str(m)],
+        "verify": ["verify", "--p", str(p), "--m", str(m), "--h", "3"],
+        "search": ["search", "--p", str(p), "--m-from", str(m), "--m-to", str(m)],
+    }[command]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    code, out, err = run_in_process(cli, argv, capsys)
+    assert (code, err) == (search_refusal if command == "search" else refusal)
+    if command != "search":
+        assert out == ""
+    assert not cache.exists()
 
 
 class TestKappaDomain:

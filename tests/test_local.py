@@ -16,6 +16,7 @@ from towerforge.local import (
     KummerClass,
     LocalCycloElement,
     _LocalRing,
+    _local_ring,
     _pi_cofactor,
     check_kummer_class_invariance,
     divide_by_pi,
@@ -292,6 +293,16 @@ class TestElementBasics:
         b = LocalCycloElement.from_int(1, 2, 2, 4)
         with pytest.raises(ValueError):
             _ = a * b
+
+    @pytest.mark.parametrize(
+        "p, m, message",
+        [(4, 1, "4 is not prime"), (1, 2, "1 is not prime"), (2, 0, "m must be >= 1"), (3, -1, "m must be >= 1")],
+    )
+    def test_ring_needs_a_prime_and_m_at_least_1(self, p, m, message):
+        cached = _local_ring.cache_info().currsize
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LocalCycloElement(p, m, 3, [2, 1])
+        assert _local_ring.cache_info().currsize == cached
 
     def test_at_cap_repr(self):
         assert repr(AT_CAP) == "AT_CAP"
