@@ -10,9 +10,9 @@ inputs beyond that bound are rejected rather than accepted probabilistically.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, FactorizationError
 
@@ -55,23 +55,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class _FactoredFields(NamedTuple):
+    value: int
+    factors: tuple[tuple[int, int], ...]
+
+
+class FactoredInteger(_FactoredFields):
     """A positive integer together with its complete prime factorization.
 
     ``factors`` is sorted by prime; every listed prime is re-certified at
     construction time and the product is checked against ``value``.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]) -> FactoredInteger:
+        if value < 1:
             raise ValueError("value must be positive")
         prod = 1
         prev = 0
-        for p, e in self.factors:
+        for p, e in factors:
             if e < 1:
                 raise ValueError(f"exponent of {p} must be >= 1")
             if p <= prev:
@@ -80,8 +83,11 @@ class FactoredInteger:
                 raise ValueError(f"listed factor {p} is not prime")
             prod *= p**e
             prev = p
-        if prod != self.value:
-            raise ValueError(f"factors recompose to {prod}, not {self.value}")
+        if prod != value:
+            raise ValueError(f"factors recompose to {prod}, not {value}")
+        return super().__new__(cls, value, factors)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace certifies too
 
     @property
     def primes(self) -> tuple[int, ...]:

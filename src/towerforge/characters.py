@@ -84,8 +84,8 @@ recomputed from scratch two independent ways, both in integers only:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 from .arith import FactoredInteger, admit_conductor, conductor_label, euler_phi, factorize
 from .cyclotomic import integer_det, primitive_root_product
@@ -167,6 +167,14 @@ def _bordered_system(q: int) -> tuple[list[list[int]], int]:
     matrix M_ij = 2(a_i c_j mod q) - q, and the bound is the ceiling of
     4q^2 prod_i sum_j M_ij^2 / (2q)^(2n); both are proved in the module
     docstring.
+
+    Every row of M has the same sum of squares S = sum_{a in half} (2a - q)^2,
+    so the product is S^n. Proof: the c_j are one unit from each pair {c, -c}
+    (inversion commutes with negation), and multiplying by a_i permutes those
+    pairs, so the a_i c_j are again one unit from each pair; and
+    (2R(x) - q)^2, R(x) = x mod q, is unchanged under x -> -x, since
+    R(-x) = q - R(x). So row i sums (2R(x) - q)^2 over one x from each pair,
+    as the half-system itself does.
     """
     half = [a for a in range(1, (q + 1) // 2) if gcd(a, q) == 1]
     inverses = [pow(a, -1, q) for a in half]
@@ -174,7 +182,7 @@ def _bordered_system(q: int) -> tuple[list[list[int]], int]:
     bordered = [[a * c // q for c in inverses] + [a, 1] for a in half]
     bordered.append(inverses + [q, 0])
     bordered.append([-1] * n + [0, 2])
-    hadamard = prod(sum((2 * (a * c % q) - q) ** 2 for c in inverses) for a in half)
+    hadamard = sum((2 * a - q) ** 2 for a in half) ** n
     return bordered, -(-4 * q * q * hadamard // (2 * q) ** (2 * n))
 
 
@@ -189,8 +197,7 @@ def hminus_determinant(p: int, m: int, *, bound: int = 512) -> int:
     return _positive_quotient(q, abs(det), 2 * q, "determinant")
 
 
-@dataclass(frozen=True)
-class RelClassNumber:
+class RelClassNumber(NamedTuple):
     """A recomputed relative class number, with the method that produced it."""
 
     conductor: int

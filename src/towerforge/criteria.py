@@ -10,16 +10,17 @@ both branches pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FactoredInteger, euler_phi, is_prime, mult_order
 from .bernoulli import is_regular_prime
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class TowerCandidate:
+
+class TowerCandidate(NamedTuple):
     """(p, m, h) with the derived quantities used by both conditions.
 
     f is the multiplicative order of p mod h; phi_pm = phi(p^m).
@@ -45,14 +46,12 @@ class TowerCandidate:
         return cls(p, m, h, f, euler_phi(p**m), h_minus)
 
 
-@dataclass(frozen=True)
-class ConditionIVerdict:
+class ConditionIVerdict(NamedTuple):
     holds: bool
     margin: int  # (f^2 - 4f) - 2 h phi(p^m), sign-carrying
 
 
-@dataclass(frozen=True)
-class ConditionIIVerdict:
+class ConditionIIVerdict(NamedTuple):
     holds: bool
     bound: int  # 2 phi(p^{m+1}) + 4, which h must reach
 
@@ -64,8 +63,7 @@ class Conclusion(str, Enum):
     FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     candidate: TowerCandidate
     cond_i: ConditionIVerdict
     cond_ii: ConditionIIVerdict
@@ -138,6 +136,8 @@ def signature_of_L(c: TowerCandidate) -> tuple[int, int]:
 
 def gs_margin(h1: int, r1: int, r2: int) -> Fraction:
     """h1^2/4 - h1 - (r1 + r2), the slack in the finiteness contradiction."""
+    from fractions import Fraction  # on call only: the package itself never needs fractions
+
     return Fraction(h1 * h1, 4) - h1 - (r1 + r2)
 
 

@@ -44,9 +44,9 @@ p in {2, 3}, m in {1, 2} and levels <= 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
+from typing import NamedTuple
 
 from .arith import check_exponent
 from .cyclotomic import _poly_divmod_monic, _poly_mul, cyclo_poly
@@ -335,8 +335,7 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class KummerClass:
+class KummerClass(NamedTuple):
     """The pair the local discriminant of adjoining a p-th root depends on.
 
     v_mod_p is the pi-valuation mod p; kappa is populated only in the unit

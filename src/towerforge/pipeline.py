@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from functools import lru_cache
 from io import StringIO
 from math import prod
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import FactoredInteger, admit_conductor, check_exponent, conductor_label, is_prime_power
 from .characters import relative_class_number
@@ -67,8 +67,7 @@ def _check_cacheable(conductor: int, factors: tuple[tuple[int, int], ...]) -> No
             raise ValueError(f"h_minus factors out of range for conductor {conductor}")
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     conductor: int
     h_minus: FactoredInteger
     computed_at: str
@@ -149,7 +148,7 @@ class HminusCache:
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def cached_relative_class_number(
@@ -183,8 +182,7 @@ def cached_relative_class_number(
 _COLUMNS = ("p", "conductor", "h", "f", "cond_I", "margin_I", "cond_II", "bound_II", "conclusion")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One verification row, flattened for serialization."""
 
     p: int
@@ -213,7 +211,7 @@ class TableRow:
         )
 
     def as_dict(self) -> dict:
-        return dict(zip(_COLUMNS, vars(self).values()))  # __init__ sets fields in order
+        return dict(zip(_COLUMNS, self))
 
 
 def reproduce_table(cache: HminusCache | None = None) -> list[TableRow]:
@@ -241,8 +239,7 @@ _CONCLUSION_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     reports: tuple[CriterionReport, ...]
     skipped: tuple[tuple[int | str, str], ...]
     budget_exceeded: bool
@@ -258,15 +255,18 @@ def search_candidates(
 ) -> SearchResult:
     """Sweep conductors p^m, m_from <= m <= m_to, and rank every prime degree.
 
-    Each p^m is admitted by ``arith.admit_conductor``: p must be prime and
-    m_from >= 1 (ValueError otherwise, before any conductor is formed), and
-    conductor 2 is passed over (h^- = 1, no candidate degrees). The sweep
-    stops at the first conductor over budget, flagged once for the rest of
-    the range and named by ``conductor_label``. Factorizations that exhaust
-    their iteration budget are flagged and skipped. The remaining reports are
-    sorted best first (conclusion rank, then condition-I margin descending).
+    p must be prime, m_from >= 1 and m_to >= m_from, checked in that order
+    (ValueError otherwise, before any conductor is formed). Each p^m is then
+    admitted by ``arith.admit_conductor``, and conductor 2 is passed over
+    (h^- = 1, no candidate degrees). The sweep stops at the first conductor
+    over budget, flagged once for the rest of the range and named by
+    ``conductor_label``. Factorizations that exhaust their iteration budget
+    are flagged and skipped. The remaining reports are sorted best first
+    (conclusion rank, then condition-I margin descending).
     """
     check_exponent(p, m_from)
+    if m_to < m_from:
+        raise ValueError(f"m_to must be >= m_from, got {m_to} < {m_from}")
     reports: list[CriterionReport] = []
     skipped: list[tuple[int | str, str]] = []
     budget_exceeded = False

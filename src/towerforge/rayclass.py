@@ -13,42 +13,55 @@ identity are verified here; no unit group of a large field is ever computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import FactoredInteger, factorize, is_prime_power
 
 
-@dataclass(frozen=True)
-class RayModulus:
-    """num_primes distinct primes of residue norm q, each to the k-th power."""
-
+class _RayModulusFields(NamedTuple):
     residue_norm: int
     k: int
     num_primes: int
 
-    def __post_init__(self) -> None:
-        if is_prime_power(self.residue_norm) is None:
-            raise ValueError(f"residue norm {self.residue_norm} is not a prime power")
-        if self.k < 1 or self.num_primes < 1:
+
+class RayModulus(_RayModulusFields):
+    """num_primes distinct primes of residue norm q, each to the k-th power."""
+
+    __slots__ = ()
+
+    def __new__(cls, residue_norm: int, k: int, num_primes: int) -> RayModulus:
+        if is_prime_power(residue_norm) is None:
+            raise ValueError(f"residue norm {residue_norm} is not a prime power")
+        if k < 1 or num_primes < 1:
             raise ValueError("k and num_primes must be >= 1")
+        return super().__new__(cls, residue_norm, k, num_primes)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace certifies too
 
 
-@dataclass(frozen=True)
-class RayOrderIdentity:
-    """The four orders in the exact sequence, in the order they appear."""
-
+class _RayOrderFields(NamedTuple):
     unit_index: int
     residue_unit_order: int
     class_order: int
     ray_class_order: int
 
-    def __post_init__(self) -> None:
-        if min(self.unit_index, self.residue_unit_order, self.class_order, self.ray_class_order) < 1:
+
+class RayOrderIdentity(_RayOrderFields):
+    """The four orders in the exact sequence, in the order they appear."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, unit_index: int, residue_unit_order: int, class_order: int, ray_class_order: int
+    ) -> RayOrderIdentity:
+        if min(unit_index, residue_unit_order, class_order, ray_class_order) < 1:
             raise ValueError("all orders must be positive")
+        return super().__new__(cls, unit_index, residue_unit_order, class_order, ray_class_order)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace certifies too
 
 
-@dataclass(frozen=True)
-class RayUnitProduct:
+class RayUnitProduct(NamedTuple):
     """Residue unit order of a full modulus, with its residue-characteristic part."""
 
     value: FactoredInteger

@@ -294,6 +294,20 @@ class TestBorderedIdentity:
             assert det_b * det_b <= square_bound, q
             assert 2 * q * bareiss_det(matrix) == (-2 * q) ** len(half) * det_b, q
 
+    def test_bound_equals_the_per_row_hadamard_product(self):
+        # every row of M has the same sum of squares, so the product is S^n
+        conductors = [
+            p**m for p in range(2, 513) if is_prime(p) for m in range(1, 10) if 3 <= p**m <= 512
+        ]
+        assert len(conductors) == 116
+        for q in conductors:
+            half, matrix = half_system_matrix(q)
+            n = len(half)
+            per_row = 1
+            for row in matrix:
+                per_row *= sum(x * x for x in row)
+            assert _bordered_system(q)[1] == -(-4 * q * q * per_row // (2 * q) ** (2 * n)), q
+
     def test_explicit_bordered_matrix(self):
         for q in (5, 7, 8, 9, 16, 23, 25, 27, 29, 32):
             half, matrix = half_system_matrix(q)

@@ -309,6 +309,23 @@ class TestSearch:
         assert result.stdout == ""
         assert result.stderr == "error: m must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "p, m_from, m_to, stderr",
+        [
+            (2, 3, 1, "error: m_to must be >= m_from, got 1 < 3\n"),
+            (5, 2, -4, "error: m_to must be >= m_from, got -4 < 2\n"),
+            # the earlier refusals come first
+            (4, 3, 1, "error: 4 is not prime\n"),
+            (2, 0, -1, "error: m must be >= 1\n"),
+        ],
+    )
+    def test_reversed_range_exits_2(self, tmp_path, p, m_from, m_to, stderr):
+        result = run_cli(
+            ["search", "--p", str(p), "--m-from", str(m_from), "--m-to", str(m_to)], tmp_path
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", stderr)
+        assert not (tmp_path / "cache.jsonl").exists()
+
     def test_cofactor_too_long_to_print_is_skipped(self, tmp_path):
         # h^-(16384) leaves a cofactor of more than 4,300 digits
         result = run_cli(

@@ -255,6 +255,15 @@ class TestSearch:
         assert search_candidates(3, 1, 2).reports == ()
         assert search_candidates(2, 1, 2).reports == ()
 
+    def test_reversed_range_is_refused_after_p_and_m_from(self):
+        with pytest.raises(ValueError, match=r"^m_to must be >= m_from, got 1 < 3$"):
+            search_candidates(2, 3, 1)
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            search_candidates(4, 3, 1)
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            search_candidates(2, 0, -1)
+        assert search_candidates(2, 3, 3).reports == ()  # a one-m range is not reversed
+
     def test_budget_flagged(self):
         result = search_candidates(2, 7, 12, conductor_budget=128)
         assert result.budget_exceeded

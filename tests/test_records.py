@@ -1,0 +1,148 @@
+"""The package's immutable records, and what a cold ``import towerforge.cli`` loads."""
+
+import pickle
+import re
+import subprocess
+import sys
+
+import pytest
+from test_cli import cli_env
+
+from towerforge.arith import FactoredInteger, factorize
+from towerforge.characters import RelClassNumber
+from towerforge.criteria import TowerCandidate, verify_candidate
+from towerforge.local import KummerClass
+from towerforge.pipeline import CacheEntry, SearchResult, TableRow, _now
+from towerforge.rayclass import RayModulus, RayOrderIdentity, RayUnitProduct
+
+
+def _records():
+    h_minus = factorize(359057)
+    report = verify_candidate(TowerCandidate.build(2, 7, 21121, h_minus))
+    return [
+        h_minus,
+        RelClassNumber(128, h_minus, "product-formula"),
+        report.candidate,
+        report.cond_i,
+        report.cond_ii,
+        report,
+        KummerClass(0, 3),
+        CacheEntry(128, h_minus, "2026-01-01T00:00:00+00:00", "product-formula"),
+        TableRow.from_report(report),
+        SearchResult((report,), ((256, "conductor budget 128 exceeded for m = 8"),), True),
+        RayModulus(3, 2, 2),
+        RayOrderIdentity(2, 6, 1, 3),
+        RayUnitProduct(factorize(36), 9),
+    ]
+
+
+RECORDS = _records()
+by_name = pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+
+
+def test_thirteen_distinct_records():
+    assert len({type(record) for record in RECORDS}) == 13
+
+
+class TestRecordContract:
+    @by_name
+    def test_fields_are_read_only_and_no_attribute_can_be_added(self, record):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.note = "x"
+
+    @by_name
+    def test_equal_fields_give_equal_records_and_hashes(self, record):
+        clone = type(record)(*record)
+        assert clone == record and hash(clone) == hash(record)
+        assert clone is not record
+
+    @by_name
+    def test_repr_names_every_field(self, record):
+        fields = ", ".join(f"{field}={getattr(record, field)!r}" for field in record._fields)
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    @by_name
+    def test_pickle_round_trip(self, record):
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and type(clone) is type(record)
+
+    def test_exact_repr_and_tuple_behaviour(self):
+        twelve = factorize(12)
+        assert repr(twelve) == "FactoredInteger(value=12, factors=((2, 2), (3, 1)))"
+        assert str(twelve) == "2^2 * 3"
+        value, factors = twelve
+        assert (value, factors) == twelve == (12, ((2, 2), (3, 1)))
+        assert repr(KummerClass(1, None)) == "KummerClass(v_mod_p=1, kappa=None)"
+
+
+class TestCertifiedConstruction:
+    """The checks run on every construction, in their order, with their messages."""
+
+    @pytest.mark.parametrize(
+        "value, factors, message",
+        [
+            (0, ((4, 0),), "value must be positive"),
+            (4, ((4, 0),), "exponent of 4 must be >= 1"),
+            (20, ((5, 1), (4, 1)), "factors must be sorted by strictly increasing prime"),
+            (4, ((4, 1),), "listed factor 4 is not prime"),
+            (6, ((2, 1),), "factors recompose to 2, not 6"),
+        ],
+    )
+    def test_factored_integer(self, value, factors, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FactoredInteger(value, factors)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FactoredInteger(value=value, factors=factors)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((12, 0, 0), "residue norm 12 is not a prime power"),
+            ((9, 0, 1), "k and num_primes must be >= 1"),
+            ((9, 1, 0), "k and num_primes must be >= 1"),
+        ],
+    )
+    def test_ray_modulus(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RayModulus(*args)
+
+    @pytest.mark.parametrize("args", [(0, 6, 1, 3), (2, 6, 1, -3)])
+    def test_ray_order_identity(self, args):
+        with pytest.raises(ValueError, match="^all orders must be positive$"):
+            RayOrderIdentity(*args)
+
+    def test_replace_certifies_too(self):
+        assert factorize(12)._replace(factors=((2, 2), (3, 1))) == factorize(12)
+        with pytest.raises(ValueError, match="^factors recompose to 12, not 13$"):
+            factorize(12)._replace(value=13)
+        with pytest.raises(ValueError, match="^residue norm 6 is not a prime power$"):
+            RayModulus(3, 2, 2)._replace(residue_norm=6)
+        with pytest.raises(ValueError, match="^all orders must be positive$"):
+            RayOrderIdentity(2, 6, 1, 3)._replace(class_order=0)
+
+    def test_keyword_construction(self):
+        assert RayModulus(residue_norm=9, k=2, num_primes=1) == RayModulus(9, 2, 1)
+        assert RayOrderIdentity(
+            unit_index=2, residue_unit_order=6, class_order=1, ray_class_order=3
+        ) == RayOrderIdentity(2, 6, 1, 3)
+
+
+def test_cache_timestamp_format():
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", _now())
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime")
+    code = f"import sys, towerforge.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env=cli_env(tmp_path),
+        cwd=tmp_path,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
