@@ -16,7 +16,7 @@ import os
 import sys
 from functools import cache
 
-from .arith import admit_conductor, euler_phi, mult_order
+from .arith import admit_conductor, mult_order
 from .bernoulli import is_regular_prime
 from .characters import hminus_determinant
 from .criteria import Conclusion, TowerCandidate, verify_candidate
@@ -27,7 +27,7 @@ from .errors import (
     PrecisionError,
     TowerforgeError,
 )
-from .local import LocalCycloElement, _enforce_search_domain, kappa
+from .local import LocalCycloElement, check_kappa_domain, kappa, kappa_precision
 from .pipeline import (
     DEFAULT_CACHE_NAME,
     HminusCache,
@@ -97,10 +97,8 @@ def _cmd_kappa(args) -> int:
         coeffs = [int(part) for part in args.elem.split(",")]
     except ValueError:
         raise ValueError(f"--elem must be comma-separated integers, got {args.elem!r}")
-    _enforce_search_domain(args.p, args.m, args.lmax)
-    e = euler_phi(args.p**args.m)
-    precision = (args.lmax + 2 * e - 1) // e + 1
-    element = LocalCycloElement(args.p, args.m, precision, coeffs)
+    check_kappa_domain(args.p, args.m, args.lmax)
+    element = LocalCycloElement(args.p, args.m, kappa_precision(args.p, args.m, args.lmax), coeffs)
     print(kappa(element, args.lmax))
     return EXIT_OK
 

@@ -119,9 +119,8 @@ def cyclo_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# d -> {l: omega of exact order d or d/2 (``_unit_values_product``), None until
-# it is needed}, the primes l = 1 (mod d) in the order ``_crt_primes(d)`` walks them
-_crt_prime_cache: dict[int, dict[int, int | None]] = {}
+# d -> the certified primes l = 1 (mod d), each once, in the order ``_crt_primes(d)`` walks them
+_crt_prime_cache: dict[int, list[int]] = {}
 
 # the primes that sieve each block of candidates k d + 1 before Miller-Rabin
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
@@ -137,9 +136,9 @@ def _crt_primes(d: int) -> Iterator[int]:
     d divides k d + 1 exactly when k = -1/d (mod r), and such a candidate
     above r is composite, so only the rest are handed to ``is_prime``.
     """
-    found = _crt_prime_cache.setdefault(d, {})
+    found = _crt_prime_cache.setdefault(d, [])
     ell = 0
-    for ell in list(found):
+    for ell in found:
         yield ell
     k = (ell - 1) // d - 1 if ell else (_MR_BOUND - 2) // d
     sieve = [(r, -pow(d, -1, r) % r) for r in _SIEVE_PRIMES if d % r]
@@ -153,7 +152,8 @@ def _crt_primes(d: int) -> Iterator[int]:
         for t in compress(range(size), alive):
             ell = (k - t) * d + 1
             if is_prime(ell):
-                found.setdefault(ell, None)
+                if not found or ell < found[-1]:  # an interleaved walk may have appended it
+                    found.append(ell)
                 yield ell
         k -= size
 
@@ -291,10 +291,11 @@ def _unit_values_product(f: list, d: int, ell: int) -> int:
     then -omega has exact order d, the elements of order d are the -omega^j
     with j in (Z/m)^*, and f(-x) is evaluated at the omega^j instead: f mod
     x^m + 1 with its odd terms negated, which is f(-x) mod x^m - 1. omega of
-    exact order m mod l is found once per (d, l) and kept in the cache entry
-    of l. The m values f(omega^j) come from one cyclic correlation (chirp-z,
-    Bluestein 1970), by i j = C(i + j, 2) - C(i, 2) - C(j, 2) with
-    C(k, 2) = k (k - 1)/2, which needs no square root of omega:
+    exact order m mod l is found on each call, from the least g with no
+    g^((l-1)/r) = 1 for a prime r | m. The m values f(omega^j) come from one
+    cyclic correlation (chirp-z, Bluestein 1970), by
+    i j = C(i + j, 2) - C(i, 2) - C(j, 2) with C(k, 2) = k (k - 1)/2, which
+    needs no square root of omega:
     f(omega^j) = omega^(-C(j, 2)) sum_i a_i b_(i + j) with
     a_i = f_i omega^(-C(i, 2)) and b_k = omega^(C(k, 2)). As m is odd,
     C(k + m, 2) = C(k, 2) + m (k + (m - 1)/2) = C(k, 2) (mod m), so b has
@@ -306,14 +307,11 @@ def _unit_values_product(f: list, d: int, ell: int) -> int:
     m = d // 2 if d % 2 == 0 else d
     if m < d:  # f(-x)
         f = [-c if i & 1 else c for i, c in enumerate(f)]
-    entry = _crt_prime_cache[d]
-    omega = entry[ell]
-    if omega is None:
-        primes = factorize(m).primes
-        g = 2  # g^((l-1)/m) has exact order m iff no g^((l-1)/r), r | m, is 1
-        while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
-            g += 1
-        omega = entry[ell] = pow(g, (ell - 1) // m, ell)
+    primes = factorize(m).primes
+    g = 2  # g^((l-1)/m) has exact order m iff no g^((l-1)/r), r | m, is 1
+    while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
+        g += 1
+    omega = pow(g, (ell - 1) // m, ell)
     powers = [1] * m
     for e in range(1, m):
         powers[e] = powers[e - 1] * omega % ell

@@ -301,13 +301,20 @@ def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
     )
 
 
-def _enforce_search_domain(p: int, m: int, l_max: int) -> None:
+def check_kappa_domain(p: int, m: int, l_max: int) -> None:
+    """Refuse (p, m, l_max) outside the exhaustive kappa search (ValueError), before p^m is formed."""
     if p not in _SEARCH_PRIMES or m not in _SEARCH_EXPONENTS:
         raise ValueError(
             f"exhaustive kappa search is limited to p in {_SEARCH_PRIMES}, m in {_SEARCH_EXPONENTS}"
         )
-    if l_max < 1 or l_max > min(p**m, _SEARCH_LEVEL_LIMIT):
+    if l_max < 1 or l_max > kappa_cap(p, m):
         raise ValueError(f"l_max must be in [1, min(p^m, {_SEARCH_LEVEL_LIMIT})]")
+
+
+def kappa_precision(p: int, m: int, l_max: int) -> int:
+    """One above the least precision N with e N >= l_max + e, which ``kappa`` needs."""
+    e = (p - 1) * p ** (m - 1)
+    return (l_max + 2 * e - 1) // e + 1
 
 
 def kappa(x: LocalCycloElement, l_max: int) -> int:
@@ -318,7 +325,7 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
     resolvable valuation (safety margin of one ramification index), which
     also makes every key up to l_max well defined.
     """
-    _enforce_search_domain(x.p, x.m, l_max)
+    check_kappa_domain(x.p, x.m, l_max)
     if x.cap < l_max + x.e:
         raise PrecisionError(
             f"precision resolves {x.cap}; need l_max + e = {l_max + x.e}"

@@ -22,18 +22,6 @@ from .characters import relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import BudgetExceededError, CacheMismatchError, FactorizationError
 
-__all__ = [
-    "CacheEntry",
-    "HminusCache",
-    "TableRow",
-    "SearchResult",
-    "cached_relative_class_number",
-    "reproduce_table",
-    "search_candidates",
-    "emit_report",
-    "DEFAULT_CACHE_NAME",
-]
-
 DEFAULT_CACHE_NAME = "hminus-cache.jsonl"
 
 # the three conductors whose verification table the CLI reproduces end to end
@@ -231,12 +219,7 @@ def reproduce_table(cache: HminusCache | None = None) -> list[TableRow]:
     return rows
 
 
-_CONCLUSION_RANK = {
-    Conclusion.BOTH.value: 0,
-    Conclusion.ONLY_I.value: 1,
-    Conclusion.ONLY_II.value: 2,
-    Conclusion.FAIL.value: 3,
-}
+_CONCLUSION_RANK = {c: i for i, c in enumerate(Conclusion)}
 
 
 class SearchResult(NamedTuple):
@@ -294,7 +277,7 @@ def search_candidates(
                 continue
             candidate = TowerCandidate.build(p, m, h, h_minus)
             reports.append(verify_candidate(candidate))
-    reports.sort(key=lambda r: (_CONCLUSION_RANK[r.conclusion.value], -r.cond_i.margin))
+    reports.sort(key=lambda r: (_CONCLUSION_RANK[r.conclusion], -r.cond_i.margin))
     return SearchResult(tuple(reports), tuple(skipped), budget_exceeded)
 
 

@@ -16,7 +16,7 @@ from towerforge.errors import PrecisionError
 from towerforge.local import (
     AT_CAP,
     LocalCycloElement,
-    _enforce_search_domain,
+    check_kappa_domain,
     kappa_cap,
     pi_valuation,
 )
@@ -47,7 +47,7 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
     gamma by pi^l changes gamma^p only above level l. Requires a unit x and
     l_max + e of resolvable valuation (safety margin of one ramification index).
     """
-    _enforce_search_domain(x.p, x.m, l_max)
+    check_kappa_domain(x.p, x.m, l_max)
     if x.cap < l_max + x.e:
         raise PrecisionError(
             f"precision resolves {x.cap}; need l_max + e = {l_max + x.e}"

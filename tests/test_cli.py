@@ -257,6 +257,17 @@ class TestSearch:
             ("2", "128", "17"),
         }
 
+    def test_rows_are_ranked_by_conclusion_then_by_margin_descending(self, tmp_path):
+        argv = ["search", "--p", "2", "--m-from", "1", "--m-to", "9", "--format", "json"]
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == 3  # 512 is skipped
+        rows = json.loads(result.stdout)
+        order = ["both-branches-pass", "only-I", "only-II", "fail"]
+        keys = [(order.index(row["conclusion"]), -row["margin_I"]) for row in rows]
+        assert keys == sorted(keys)
+        assert {row["conclusion"] for row in rows} == {"both-branches-pass", "fail"}
+        assert [row["conductor"] for row in rows] == [256, 128, 256, 64, 128, 256]
+
     def test_search_budget_exit(self, tmp_path):
         result = run_cli(
             ["search", "--p", "2", "--m-from", "7", "--m-to", "12", "--budget", "128"], tmp_path
@@ -458,7 +469,100 @@ def test_admission_refusals(
     assert not cache.exists()
 
 
+# kappa over its whole domain: per (p, m, --elem), the outcome at --lmax = 0,
+# 1, ..., kappa_cap(p, m) + 1. A number is kappa on stdout (exit 0); a letter
+# is one error line on stderr (exit 2): M names the malformed --elem, the rest
+# are in KAPPA_ERRORS. Z against U (8 and 27) pins the precision the CLI builds
+# its element at: a non-unit reads as zero exactly when p^precision divides it.
+KAPPA_GRID = """
+2 1 1              L 1 2 L
+2 1 -1             L 1 1 L
+2 1 5              L 1 2 L
+2 1 1,1            L Z Z L
+2 1 2,1            L 1 2 L
+2 1 1,-1           L U U L
+2 1 2              L U U L
+2 1 4              L U U L
+2 1 8              L Z U L
+2 1 0              L Z Z L
+2 1 1,2,3,4,5,6,7  L U U L
+2 1 x              M M M M
+2 1 1,,2           M M M M
+2 2 1              L 1 2 3 4 L
+2 2 -1             L 1 2 3 4 L
+2 2 5              L 1 2 3 4 L
+2 2 1,1            L U U U U L
+2 2 2,1            L 1 1 1 1 L
+2 2 1,-1           L U U U U L
+2 2 2              L U U U U L
+2 2 4              L U U U U L
+2 2 8              L Z Z U U L
+2 2 0              L Z Z Z Z L
+2 2 1,2,3,4,5,6,7  L U U U U L
+2 2 x              M M M M M M
+2 2 1,,2           M M M M M M
+3 1 1              L 1 2 3 L
+3 1 -1             L 1 2 3 L
+3 1 5              L 1 2 2 L
+3 1 1,1            L 1 1 1 L
+3 1 2,1            L U U U L
+3 1 1,-1           L U U U L
+3 1 3              L U U U L
+3 1 9              L U U U L
+3 1 27             L Z Z U L
+3 1 0              L Z Z Z L
+3 1 1,2,3,4,5,6,7  L 1 1 1 L
+3 1 x              M M M M M
+3 1 1,,2           M M M M M
+3 2 1              L 1 2 3 4 5 6 7 8 L
+3 2 -1             L 1 2 3 4 5 6 7 8 L
+3 2 5              L 1 2 3 4 5 6 7 8 L
+3 2 1,1            L 1 1 1 1 1 1 1 1 L
+3 2 2,1            L U U U U U U U U L
+3 2 1,-1           L U U U U U U U U L
+3 2 3              L U U U U U U U U L
+3 2 9              L U U U U U U U U L
+3 2 27             L Z Z Z Z Z Z U U L
+3 2 0              L Z Z Z Z Z Z Z Z L
+3 2 1,2,3,4,5,6,7  L 1 1 1 1 1 1 1 1 L
+3 2 x              M M M M M M M M M M
+3 2 1,,2           M M M M M M M M M M
+"""
+KAPPA_ERRORS = {
+    "L": "l_max must be in [1, min(p^m, 8)]",
+    "U": "kappa is defined for units only",
+    "Z": "zero at the carried precision has no resolvable valuation",
+    "D": "exhaustive kappa search is limited to p in (2, 3), m in (1, 2)",
+}
+
+
+def kappa_outcome(elem, letter):
+    """(exit code, stdout, stderr) of ``kappa`` that KAPPA_GRID writes as letter."""
+    if letter.isdigit():
+        return 0, f"{letter}\n", ""
+    if letter == "M":
+        return 2, "", f"error: --elem must be comma-separated integers, got {elem!r}\n"
+    return 2, "", f"error: {KAPPA_ERRORS[letter]}\n"
+
+
 class TestKappaDomain:
+    def test_every_point_of_the_domain(self, cli, capsys):
+        expected, got = [], []
+        for line in KAPPA_GRID.strip().splitlines():
+            p, m, elem, *letters = line.split()
+            for l_max, letter in enumerate(letters):
+                argv = ["kappa", "--p", p, "--m", m, "--elem", elem, "--lmax", str(l_max)]
+                expected.append((argv, kappa_outcome(elem, letter)))
+                got.append((argv, run_in_process(cli, argv, capsys)))
+        assert got == expected
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (2, 3), (3, 0), (4, 1), (2, 10**9)])
+    def test_outside_the_domain_every_well_formed_elem_is_refused(self, cli, capsys, p, m):
+        for elem, letter in (("1", "D"), ("0", "D"), ("2,1", "D"), (str(p), "D"), ("x", "M")):
+            for l_max in (0, 1, 3, 9):
+                argv = ["kappa", "--p", str(p), "--m", str(m), "--elem", elem, "--lmax", str(l_max)]
+                assert run_in_process(cli, argv, capsys) == kappa_outcome(elem, letter), argv
+
     def test_domain_is_checked_before_the_ring_is_built(self, cli, capsys, monkeypatch):
         from towerforge import local
 

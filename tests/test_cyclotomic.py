@@ -371,6 +371,15 @@ class TestPrimitiveRootProduct:
         assert calls and max(calls) < known[-1]
         assert longer == list(islice(_fresh_crt_primes(42), len(longer)))
 
+    def test_interleaved_walks_memoize_each_prime_once(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+        first, second = _crt_primes(42), _crt_primes(42)
+        head = list(islice(first, 3))
+        both = list(islice(second, 6)) + list(islice(first, 5))
+        expected = list(islice(_fresh_crt_primes(42), 8))
+        assert head + both == expected[:3] + expected[:6] + expected[3:8]
+        assert cyclotomic._crt_prime_cache == {42: expected}
+
     def test_powers_of_two_finish_without_a_prime(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})

@@ -136,7 +136,8 @@ def test_cache_timestamp_format():
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime")
+    # nor rayclass, which no CLI command uses
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime", "towerforge.rayclass")
     code = f"import sys, towerforge.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, *flags, "-c", code],
