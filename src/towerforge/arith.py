@@ -5,6 +5,9 @@ Everything here is deterministic. Primality up to 10^4 is read from a sieve of
 Eratosthenes; above that it uses a fixed Miller-Rabin base set that is proven
 complete below 3.3e24, far above any integer this package ever certifies, and
 inputs beyond that bound are rejected rather than accepted probabilistically.
+The CRT primes of the exact kernels have the form k 2^41 + 1 below 2^82, and
+``pocklington_prime`` proves each of them with one exponentiation, by
+Pocklington's N - 1 criterion.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_BOUND = 10_000
+
+# ``pocklington_prime`` proves n = 1 (mod 2^41) below 2^82
+_POCKLINGTON_BITS = 41
+# the odd primes up to 73: Pocklington witnesses, and the sieve of the CRT prime walk
+_SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
 
 
 def is_prime(n: int) -> bool:
@@ -53,6 +61,35 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def pocklington_prime(n: int) -> bool:
+    """True when n = 1 (mod 2^41), 1 < n < 2^82, is proven prime, by one exponentiation mod n.
+
+    Proof (Pocklington's N - 1 criterion with F = 2^41; Brillhart, Lehmer and
+    Selfridge, Math. Comp. 29, 1975). Let a^((n-1)/2) = -1 (mod n), and let q
+    be a prime factor of n. q is odd, so a^((n-1)/2) = -1 is not 1 mod q,
+    while a^(n-1) = 1: the order of a mod q divides n - 1 but not (n - 1)/2,
+    so it holds the full power of 2 in n - 1, at least 2^41, and it divides
+    q - 1. So q > 2^41 > sqrt(n) for every prime factor q, and n is prime,
+    since a composite n has a prime factor at most sqrt(n). For n >= 2^82
+    this proves nothing, so such n are refused (ValueError), as are n that
+    are not 1 (mod 2^41) or not above 1.
+
+    Witness. If n is prime and (a/n) = -1, Euler's criterion gives
+    a^((n-1)/2) = -1 (mod n). For an odd prime a, reciprocity with
+    n = 1 (mod 4) gives (a/n) = (n/a), which Euler's criterion mod a decides on
+    small integers. The witness is the first a in ``_SMALL_ODD_PRIMES`` with
+    (n/a) = -1, and a prime n always passes the exponentiation with it. So the
+    answer is True exactly when n is prime, except that n is not certified
+    (False) when no such a exists there: n is a square mod every one of them.
+    """
+    if not 1 < n < 1 << 2 * _POCKLINGTON_BITS or n % (1 << _POCKLINGTON_BITS) != 1:
+        raise ValueError("Pocklington with F = 2^41 needs 1 < n < 2^82 and n = 1 (mod 2^41)")
+    for a in _SMALL_ODD_PRIMES:
+        if pow(n % a, (a - 1) // 2, a) == a - 1:
+            return pow(a, n >> 1, n) == n - 1
+    return False
 
 
 class _FactoredFields(NamedTuple):

@@ -3,9 +3,10 @@
 Polynomials are dense integer coefficient lists, index = degree, and
 ``_poly_mul`` is their one product: schoolbook for short factors, one
 big-integer product by Kronecker substitution above that (its slot bound is
-proved there). Both kernels work modulo primes below the deterministic
-Miller-Rabin bound, each sieved by small primes and then certified by
-``is_prime``, and end in one reconstruction, ``_crt_reconstruct``: Chinese
+proved there). Both kernels work modulo primes l = k 2^41 + 1 below the
+deterministic Miller-Rabin bound (``_crt_primes``), each sieved by small
+primes and then proven prime by one exponentiation (``pocklington_prime``),
+and end in one reconstruction, ``_crt_reconstruct``: Chinese
 remaindering until the modulus exceeds twice a proven bound, then the
 symmetric lift. ``integer_det`` (it serves the h^- determinant oracle)
 eliminates over F_l with each row packed into one int, under Hadamard's bound
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from itertools import compress
-from math import gcd, prod
+from math import gcd, lcm, prod
 
-from .arith import _MR_BOUND, factorize, is_prime
+from .arith import _MR_BOUND, _POCKLINGTON_BITS, _SMALL_ODD_PRIMES, factorize, pocklington_prime
 
 
 def _trim(p: list) -> list:
@@ -119,39 +120,42 @@ def cyclo_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# d -> the certified primes l = 1 (mod d), each once, in the order ``_crt_primes(d)`` walks them
+# d -> the proven primes l = 1 (mod lcm(d, 2^41)), each once, in the order
+# ``_crt_primes(d)`` walks them
 _crt_prime_cache: dict[int, list[int]] = {}
 
-# the primes that sieve each block of candidates k d + 1 before Miller-Rabin
-_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
 _SIEVE_BLOCK = 256
 
 
 def _crt_primes(d: int) -> Iterator[int]:
-    """Primes l = 1 (mod d) below the deterministic Miller-Rabin bound, descending.
+    """Primes l = 1 (mod lcm(d, 2^41)) below the deterministic Miller-Rabin bound, descending.
 
-    The list is a pure function of d, so the primes found are memoized and a
-    later walk certifies only the primes past the end of every earlier one.
-    Candidates k d + 1 are taken in blocks of k: a sieve prime r not dividing
-    d divides k d + 1 exactly when k = -1/d (mod r), and such a candidate
-    above r is composite, so only the rest are handed to ``is_prime``.
+    The walk starts below ``_MR_BOUND`` (< 2^82), which fixes the size of
+    every prime, residue and slot width of both kernels. Each candidate
+    l = k L + 1, L = lcm(d, 2^41), is proven prime or passed over by
+    ``pocklington_prime``, so the list is a pure function of d: the primes
+    found are memoized and a later walk certifies only the primes past the
+    end of every earlier one. Candidates are taken in blocks of k: an odd
+    sieve prime r not dividing d divides k L + 1 exactly when k = -1/L
+    (mod r), and such a candidate (above 2^41 > r) is composite, so only the
+    rest are handed to ``pocklington_prime``.
     """
     found = _crt_prime_cache.setdefault(d, [])
     ell = 0
     for ell in found:
         yield ell
-    k = (ell - 1) // d - 1 if ell else (_MR_BOUND - 2) // d
-    sieve = [(r, -pow(d, -1, r) % r) for r in _SIEVE_PRIMES if d % r]
+    step = lcm(d, 1 << _POCKLINGTON_BITS)
+    k = (ell - 1) // step - 1 if ell else (_MR_BOUND - 2) // step
+    sieve = [(r, -pow(step, -1, r) % r) for r in _SMALL_ODD_PRIMES if step % r]
     while k > 0:
         size = min(k, _SIEVE_BLOCK)  # slot t holds k - t, for t < size
         alive = bytearray(b"\x01") * size
-        if (k - size + 1) * d > _SIEVE_PRIMES[-1]:
-            for r, root in sieve:
-                start = (k - root) % r
-                alive[start::r] = bytes(len(range(start, size, r)))
+        for r, root in sieve:
+            start = (k - root) % r
+            alive[start::r] = bytes(len(range(start, size, r)))
         for t in compress(range(size), alive):
-            ell = (k - t) * d + 1
-            if is_prime(ell):
+            ell = (k - t) * step + 1
+            if pocklington_prime(ell):
                 if not found or ell < found[-1]:  # an interleaved walk may have appended it
                     found.append(ell)
                 yield ell
@@ -223,8 +227,8 @@ def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None
 
     ``square_bound`` must be at least det^2; it defaults to Hadamard's bound
     prod_i sum_j m_ij^2. Each prime l comes from ``_crt_primes(1)``: it lies
-    below the deterministic Miller-Rabin bound and is certified by
-    ``is_prime``. ``_det_mod`` gives det mod l, and ``_crt_reconstruct`` lifts
+    below the deterministic Miller-Rabin bound and is proven prime by
+    ``pocklington_prime``. ``_det_mod`` gives det mod l, and ``_crt_reconstruct`` lifts
     the residues once their modulus exceeds 2 sqrt(square_bound).
     """
     if square_bound is None:
@@ -352,7 +356,7 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     values from one correlation, a single ``_poly_mul`` of two residue lists
     of length at most d (d/2 for even d), where one dot product per unit
     would cost phi(d) len(f) products per prime. Every l lies below the
-    deterministic Miller-Rabin bound and is certified by ``is_prime``.
+    deterministic Miller-Rabin bound and is proven prime by ``pocklington_prime``.
 
     Bound. It is proved for the original d and w_0..w_{d-1}, since N is the same
     integer. For d > 1 every unit j is nonzero mod d, where sum_i zeta_d^(ij)

@@ -321,16 +321,19 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
     """Largest l <= l_max such that x is a p-th power mod pi^l, by table lookup.
 
     The ring's table holds the key of every gamma^p mod pi^l over all units
-    gamma (see the module docstring). Requires a unit x and l_max + e of
-    resolvable valuation (safety margin of one ramification index), which
-    also makes every key up to l_max well defined.
+    gamma (see the module docstring). Requires l_max + e of resolvable
+    valuation (safety margin of one ramification index), which also makes
+    every key up to l_max well defined, and a unit x. As zeta = 1 (mod pi),
+    x = sum c_i zeta^i = sum c_i (mod pi), and O/pi = F_p, so x is a unit
+    exactly when its coefficient sum is prime to p, at every precision; zero
+    is a non-unit like any other.
     """
     check_kappa_domain(x.p, x.m, l_max)
     if x.cap < l_max + x.e:
         raise PrecisionError(
             f"precision resolves {x.cap}; need l_max + e = {l_max + x.e}"
         )
-    if pi_valuation(x) != 0:
+    if sum(x.coeffs) % x.p == 0:
         raise ValueError("kappa is defined for units only")
     ring = x.ring
     c = ring.t_basis(x.coeffs, x.p**x.precision)

@@ -14,13 +14,15 @@ import time
 from functools import lru_cache
 from io import StringIO
 from math import prod
-from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FactoredInteger, admit_conductor, check_exponent, conductor_label, is_prime_power
 from .characters import relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import BudgetExceededError, CacheMismatchError, FactorizationError
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 DEFAULT_CACHE_NAME = "hminus-cache.jsonl"
 
@@ -97,6 +99,8 @@ class HminusCache:
     """
 
     def __init__(self, path: str | Path) -> None:
+        from pathlib import Path  # here, not at import: it loads urllib.parse and ipaddress
+
         self.path = Path(path)
 
     def load(self) -> dict[int, CacheEntry]:

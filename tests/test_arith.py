@@ -17,6 +17,7 @@ from towerforge.arith import (
     is_prime,
     is_prime_power,
     mult_order,
+    pocklington_prime,
 )
 from towerforge.errors import BudgetExceededError, FactorizationError
 
@@ -78,6 +79,41 @@ class TestIsPrime:
     def test_bound_rejection(self):
         with pytest.raises(ValueError):
             is_prime(10**25)
+
+
+class TestPocklingtonPrime:
+    def test_agrees_with_is_prime_on_seeded_candidates(self):
+        rng = random.Random(41)
+        candidates = [rng.randrange(1, arith._MR_BOUND >> 41) * 2**41 + 1 for _ in range(3000)]
+        outcomes = [(pocklington_prime(n), is_prime(n)) for n in candidates]
+        assert all(got == expected for got, expected in outcomes)
+        assert 30 < sum(expected for _, expected in outcomes) < 300  # both kinds are drawn
+
+    def test_rejects_squares(self):
+        # s^2 = 1 (mod 2^41) below 2^82 needs s = +-1 (mod 2^40), s < 2^41; no such s is prime
+        for s in (2**40 - 1, 2**40 + 1, 2**41 - 1):
+            assert not is_prime(s)
+            assert not pocklington_prime(s * s)
+
+    def test_only_minus_one_certifies(self, monkeypatch):
+        # a^((n-1)/2) = 1 (mod n) proves nothing: substitute it for the true power
+        rng = random.Random(82)
+        composites = []
+        while len(composites) < 50:
+            n = rng.randrange(1, arith._MR_BOUND >> 41) * 2**41 + 1
+            if not is_prime(n) and n % 3 == 2:  # 3 is the witness: (3/n) = (n/3) = -1
+                composites.append(n)
+        monkeypatch.setattr(
+            arith, "pow", lambda a, e, m: 1 if m in composites else pow(a, e, m), raising=False
+        )
+        assert not any(pocklington_prime(n) for n in composites)
+
+    def test_refuses_outside_its_proof(self):
+        assert arith._MR_BOUND < 2**82
+        for n in (2**82 + 1, 2**82 + 2**41 + 1, 2**83 + 1, 10**100 * 2**41 + 1, 1, 0, -(2**41) + 1,
+                  2**41 + 3, 2**41 - 1, 3 * 2**40 + 1):
+            with pytest.raises(ValueError):
+                pocklington_prime(n)
 
 
 class TestFactorize:

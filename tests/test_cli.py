@@ -472,19 +472,19 @@ def test_admission_refusals(
 # kappa over its whole domain: per (p, m, --elem), the outcome at --lmax = 0,
 # 1, ..., kappa_cap(p, m) + 1. A number is kappa on stdout (exit 0); a letter
 # is one error line on stderr (exit 2): M names the malformed --elem, the rest
-# are in KAPPA_ERRORS. Z against U (8 and 27) pins the precision the CLI builds
-# its element at: a non-unit reads as zero exactly when p^precision divides it.
+# are in KAPPA_ERRORS. Every non-unit, zero and multiples of p^precision
+# included, reads U at every valid --lmax, whatever precision the CLI builds at.
 KAPPA_GRID = """
 2 1 1              L 1 2 L
 2 1 -1             L 1 1 L
 2 1 5              L 1 2 L
-2 1 1,1            L Z Z L
+2 1 1,1            L U U L
 2 1 2,1            L 1 2 L
 2 1 1,-1           L U U L
 2 1 2              L U U L
 2 1 4              L U U L
-2 1 8              L Z U L
-2 1 0              L Z Z L
+2 1 8              L U U L
+2 1 0              L U U L
 2 1 1,2,3,4,5,6,7  L U U L
 2 1 x              M M M M
 2 1 1,,2           M M M M
@@ -496,8 +496,8 @@ KAPPA_GRID = """
 2 2 1,-1           L U U U U L
 2 2 2              L U U U U L
 2 2 4              L U U U U L
-2 2 8              L Z Z U U L
-2 2 0              L Z Z Z Z L
+2 2 8              L U U U U L
+2 2 0              L U U U U L
 2 2 1,2,3,4,5,6,7  L U U U U L
 2 2 x              M M M M M M
 2 2 1,,2           M M M M M M
@@ -509,8 +509,8 @@ KAPPA_GRID = """
 3 1 1,-1           L U U U L
 3 1 3              L U U U L
 3 1 9              L U U U L
-3 1 27             L Z Z U L
-3 1 0              L Z Z Z L
+3 1 27             L U U U L
+3 1 0              L U U U L
 3 1 1,2,3,4,5,6,7  L 1 1 1 L
 3 1 x              M M M M M
 3 1 1,,2           M M M M M
@@ -522,8 +522,8 @@ KAPPA_GRID = """
 3 2 1,-1           L U U U U U U U U L
 3 2 3              L U U U U U U U U L
 3 2 9              L U U U U U U U U L
-3 2 27             L Z Z Z Z Z Z U U L
-3 2 0              L Z Z Z Z Z Z Z Z L
+3 2 27             L U U U U U U U U L
+3 2 0              L U U U U U U U U L
 3 2 1,2,3,4,5,6,7  L 1 1 1 1 1 1 1 1 L
 3 2 x              M M M M M M M M M M
 3 2 1,,2           M M M M M M M M M M
@@ -531,7 +531,6 @@ KAPPA_GRID = """
 KAPPA_ERRORS = {
     "L": "l_max must be in [1, min(p^m, 8)]",
     "U": "kappa is defined for units only",
-    "Z": "zero at the carried precision has no resolvable valuation",
     "D": "exhaustive kappa search is limited to p in (2, 3), m in (1, 2)",
 }
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -17,8 +17,15 @@ from cyclo_reference import (
     unit_values_product,
 )
 
-from towerforge import cyclotomic
-from towerforge.arith import _MR_BOUND, euler_phi, factorize, is_prime
+from towerforge import arith, cyclotomic
+from towerforge.arith import (
+    _MR_BOUND,
+    _SMALL_ODD_PRIMES,
+    euler_phi,
+    factorize,
+    is_prime,
+    pocklington_prime,
+)
 from towerforge.cyclotomic import (
     _crt_primes,
     _det_mod,
@@ -342,21 +349,57 @@ class TestPrimitiveRootProduct:
             primitive_root_product(d, [rng.randrange(-9, 10) for _ in range(d + 1)])
 
     def test_crt_primes_are_certified_and_of_the_right_residue(self):
-        for d in (2, 486, 500, 512):
-            primes = list(islice(_crt_primes(d), 5))
-            assert len(set(primes)) == 5
-            assert all(ell % d == 1 and ell < _MR_BOUND and is_prime(ell) for ell in primes)
+        for d in (2, 486, 500, 512, *WALK_DS):
+            primes = list(islice(_crt_primes(d), 40))
+            assert len(set(primes)) == 40
+            assert all((ell - 1) % lcm(d, 2**41) == 0 and ell < _MR_BOUND for ell in primes), d
+            assert all(is_prime(ell) for ell in primes), d
+
+    def test_crt_primes_pass_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for d in WALK_DS:
+            assert all(sympy.isprime(ell) for ell in islice(_crt_primes(d), 40)), d
 
     def test_sieved_walk_finds_every_prime_in_order(self, monkeypatch):
         monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
         for d in (1, 2, 6, 10, 14, 42, 210, 682, 2026):
             assert list(islice(_crt_primes(d), 30)) == list(islice(_fresh_crt_primes(d), 30)), d
 
+    def test_one_exponentiation_per_sieve_survivor(self, monkeypatch):
+        # every candidate k L + 1 with no odd prime factor up to 73 is
+        # exponentiated once, with no is_prime call; the rest never are
+        moduli = []
+
+        def counting_pow(*args):
+            if len(args) == 3 and args[2] >> 41:
+                moduli.append(args[2])
+            return pow(*args)
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called by the walk")
+
+        monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+        for module in (arith, cyclotomic):
+            monkeypatch.setattr(module, "is_prime", refuse, raising=False)
+        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+        sieve = prod(_SMALL_ODD_PRIMES)
+        for d in (1, 42, 2026, 2310):
+            moduli.clear()
+            step = lcm(d, 2**41)
+            primes = list(islice(_crt_primes(d), 20))
+            top, last = (_MR_BOUND - 2) // step, (primes[-1] - 1) // step
+            candidates = (k * step + 1 for k in range(top, last - 1, -1))
+            survivors = [ell for ell in candidates if gcd(ell, sieve) == 1]
+            assert moduli == survivors, d
+            assert len(survivors) > len(primes)
+
     def test_crt_primes_are_certified_once_per_d(self, monkeypatch):
         # 294 = 2 * 3 * 7^2 descends to its radical 42, where the primes are drawn
         calls = []
         monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
-        monkeypatch.setattr(cyclotomic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        monkeypatch.setattr(
+            cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
+        )
         weights = list(range(1, 296))
         first = primitive_root_product(294, weights)
         assert calls
@@ -383,7 +426,9 @@ class TestPrimitiveRootProduct:
     def test_powers_of_two_finish_without_a_prime(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
-        monkeypatch.setattr(cyclotomic, "is_prime", lambda n: calls.append(n) or is_prime(n))
+        monkeypatch.setattr(
+            cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
+        )
         rng = random.Random(59)
         for k in range(10):
             d = 2**k
@@ -429,11 +474,17 @@ class TestRelativeNorm:
         assert _relative_norm(_fold([], 27), 27, 3) == _fold([], 9) == [0] * 9
 
 
+# the moduli d of the walk tests: squarefree, even and odd, up to the radicals of the sweep's orbits
+WALK_DS = (1, 2, 3, 6, 10, 14, 42, 210, 1018, 2026, 2310)
+
+
 def _fresh_crt_primes(d):
-    k = (_MR_BOUND - 2) // d
+    """Every k lcm(d, 2^41) + 1 below the bound that ``is_prime`` certifies, descending."""
+    step = lcm(d, 2**41)
+    k = (_MR_BOUND - 2) // step
     while k > 0:
-        if is_prime(k * d + 1):
-            yield k * d + 1
+        if is_prime(k * step + 1):
+            yield k * step + 1
         k -= 1
 
 

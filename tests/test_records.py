@@ -136,8 +136,10 @@ def test_cache_timestamp_format():
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
-    # nor rayclass, which no CLI command uses
+    # nor rayclass, which no CLI command uses; pathlib (it loads urllib.parse
+    # and ipaddress) is checked under -S only, as site may preload it
     heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime", "towerforge.rayclass")
+    heavy += ("pathlib",) if flags else ()
     code = f"import sys, towerforge.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, *flags, "-c", code],
