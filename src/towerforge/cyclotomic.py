@@ -1,23 +1,25 @@
-"""The two exact integer kernels of h^-, and the cyclotomic polynomials.
+"""The two exact integer kernels of h^-, and the polynomial product and fold.
 
 Polynomials are dense integer coefficient lists, index = degree, and
 ``_poly_mul`` is their one product: schoolbook for short factors, one
 big-integer product by Kronecker substitution above that (its slot bound is
-proved there). Both kernels work modulo primes l = k 2^41 + 1 below the
-deterministic Miller-Rabin bound (``_crt_primes``), each sieved by small
-primes and then proven prime by one exponentiation (``pocklington_prime``),
-and end in one reconstruction, ``_crt_reconstruct``: Chinese
-remaindering until the modulus exceeds twice a proven bound, then the
-symmetric lift. ``integer_det`` (it serves the h^- determinant oracle)
-eliminates over F_l with each row packed into one int, under Hadamard's bound
-or a tighter one the caller proves. ``primitive_root_product`` is the norm of
-W(zeta_d), with every polynomial held mod x^(d/2) + 1 (even d) or x^d - 1
-(odd d), never mod Phi_d. It descends the tower Q(zeta_d) > Q(zeta_{d/r}) >
-... in exact integers, one relative norm per repeated prime factor r, down to
-rad(d) (the field-norm descent of Pornin and Prest, PKC 2019). There, it takes
-the values mod l at all primitive rad(d)-th roots of unity from one cyclic
-correlation, a chirp-z transform (Bluestein, 1970), under a Parseval/AM-GM
-bound proved for the original W; at rad(d) <= 2 the descent alone is exact.
+proved there). ``_fold`` is their one reduction, mod x^(d/2) + 1 (even d) or
+x^d - 1 (odd d); the local ring reduces mod Phi_{p^m} through it too. Both
+kernels work modulo primes l = k 2^41 + 1 below the deterministic
+Miller-Rabin bound (``_crt_primes``), each sieved by small primes and then
+proven prime by one exponentiation (``pocklington_prime``), and end in one
+reconstruction, ``_crt_reconstruct``: Chinese remaindering until the modulus
+exceeds twice a proven bound, then the symmetric lift. ``integer_det`` (it
+serves the h^- determinant oracle) eliminates over F_l with each row packed
+into one int, under Hadamard's bound or a tighter one the caller proves.
+``primitive_root_product`` is the norm of W(zeta_d), with every polynomial
+held mod x^(d/2) + 1 (even d) or x^d - 1 (odd d), never mod Phi_d. It
+descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in exact integers, one
+relative norm per repeated prime factor r, down to rad(d) (the field-norm
+descent of Pornin and Prest, PKC 2019). There, it takes the values mod l at
+all primitive rad(d)-th roots of unity from one cyclic correlation, a
+chirp-z transform (Bluestein, 1970), under a Parseval/AM-GM bound proved for
+the original W; at rad(d) <= 2 the descent alone is exact.
 Neither kernel uses anything but integers.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from itertools import compress
 from math import gcd, lcm, prod
+from operator import index
 
 from .arith import _MR_BOUND, _POCKLINGTON_BITS, _SMALL_ODD_PRIMES, factorize, pocklington_prime
 
@@ -82,42 +85,6 @@ def _poly_mul(a: list, b: list) -> list:
     return _trim(
         [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)]
     )
-
-
-def _poly_divmod_monic(num: list, den) -> tuple[list, list]:
-    """Divide by a monic polynomial; exact over Z when num is integral."""
-    num = list(num)
-    dd = len(den) - 1
-    terms = [(i, c) for i, c in enumerate(den[:dd]) if c]
-    quo = [0] * max(0, len(num) - dd)
-    for k in range(len(quo) - 1, -1, -1):
-        c = num[k + dd]
-        if c:
-            quo[k] = c
-            for i, t in terms:
-                num[k + i] -= c * t
-    return quo, _trim(num[:dd])
-
-
-def cyclo_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree.
-
-    For a prime r not dividing k, x^r has order k exactly when x has order k
-    or k r: r phi(k) distinct roots, so Phi_k(x^r) = Phi_k(x) Phi_{k r}(x).
-    With s = n / rad n, Phi_n(x) = Phi_{rad n}(x^s): zeta^s has order rad n
-    for each primitive n-th root zeta, and both sides are monic of degree
-    phi(n). So Phi_n comes from Phi_1(x^s) = x^s - 1 by one exact division
-    Phi_{k r}(x^s) = Phi_k(x^(r s)) / Phi_k(x^s) per prime r of n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    primes = factorize(n).primes
-    s = n // prod(primes)
-    poly = [-1] + [0] * (s - 1) + [1]
-    for r in primes:
-        stretched = [0 if i % r else poly[i // r] for i in range(r * len(poly) - r + 1)]
-        poly = _poly_divmod_monic(stretched, poly)[0]
-    return tuple(poly)
 
 
 # d -> the proven primes l = 1 (mod lcm(d, 2^41)), each once, in the order
@@ -339,7 +306,8 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
 
     Phi_d is monic and its roots are the primitive d-th roots of unity, so
     this is Res(Phi_d, W), the norm N of W(zeta_d) from Q(zeta_d) to Q. As
-    zeta_d^d = 1, W may have any length: it is folded to w_0..w_{d-1} first.
+    zeta_d^d = 1, W may have any length: it is folded to w_0..w_{d-1} first,
+    and a folded weight that is not an integer raises TypeError.
 
     Descent. f is W folded mod B_d (``_fold``), a multiple of Phi_d, which
     is never formed. While some prime r has r^2 | d, f is replaced by its norm
@@ -371,7 +339,7 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    folded = [sum(weights[i::d]) for i in range(d)]
+    folded = [index(sum(weights[i::d])) for i in range(d)]
     factors = factorize(d).factors
     phi = prod((r - 1) * r ** (e - 1) for r, e in factors)
     shift = sum(folded) // d if d > 1 else 0

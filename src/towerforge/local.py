@@ -1,8 +1,9 @@
 """Truncated arithmetic in the ramified local ring Z_p[zeta_{p^m}].
 
-Elements are residues mod Phi_{p^m}(x) with coefficients carried mod p^N,
-where N is an explicit per-element precision. The maximal ideal is generated
-by pi = 1 - zeta, the ramification index is e = phi(p^m), and p = unit * pi^e.
+Elements are residues mod Phi_{p^m}(x) = sum_{k<p} x^(k p^(m-1)) with
+coefficients carried mod p^N, where N is an explicit per-element precision.
+The maximal ideal is generated by pi = 1 - zeta, the ramification index is
+e = phi(p^m), and p = unit * pi^e.
 Everything fixed by (p, m) lives in one cached ring context per ring, which
 every element points to; precision stays per element, because dividing by pi
 lowers it.
@@ -46,10 +47,11 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from math import comb
+from operator import index
 from typing import NamedTuple
 
 from .arith import check_exponent
-from .cyclotomic import _poly_divmod_monic, _poly_mul, cyclo_poly
+from .cyclotomic import _fold, _poly_mul
 from .errors import CofactorError, PrecisionError
 
 
@@ -80,17 +82,35 @@ class _LocalRing:
     One instance per (p, m), from ``_local_ring``; nothing changes it after
     construction except the lazy tables, which fill in on first use (a ring
     that only multiplies never needs the e^2 binomials).
-    ``cofactor`` holds the coefficients b_j of p/pi: with Phi_{p^m} =
-    sum_i a_i x^i, p = Phi(1) - Phi(zeta) = sum_i a_i (1 - zeta^i)
-    = (1 - zeta) * sum_j b_j zeta^j, where b_j = sum_{i > j} a_i.
+    With s = p^(m-1), Phi_p(x^s) = sum_{k<p} x^(k s) is monic of degree
+    e = (p - 1) s and vanishes exactly at the x with x^(p s) = 1 != x^s, the
+    e primitive p^m-th roots of unity, so it is Phi = Phi_{p^m}.
+    ``reduce`` takes c mod Phi by ``cyclotomic._fold(c, p^m)``: mod
+    x^(p^m) - 1 for odd p, mod x^(p^m/2) + 1 = x^e + 1 = Phi for p = 2, both
+    multiples of Phi. For odd p that leaves e + s terms, and x^t Phi = 0 gives
+    x^(e+t) = -sum_{k<p-1} x^(k s + t) for t < s, of degree < e: one block
+    step leaves the residue.
+    ``cofactor`` holds the coefficients b_j of p/pi: with Phi = sum_i a_i x^i,
+    p = Phi(1) - Phi(zeta) = sum_i a_i (1 - zeta^i)
+    = (1 - zeta) * sum_j b_j zeta^j, where b_j = sum_{i > j} a_i counts the
+    k s in (j, e]: b_j = p - 1 - floor(j / s).
     """
 
     def __init__(self, p: int, m: int) -> None:
         self.p = p
         self.m = m
-        self.phi = cyclo_poly(p**m)
-        self.e = len(self.phi) - 1
-        self.cofactor = tuple(sum(self.phi[j + 1 :]) for j in range(self.e))
+        self.s = p ** (m - 1)
+        self.e = (p - 1) * self.s
+        self.cofactor = tuple(p - 1 - j // self.s for j in range(self.e))
+
+    def reduce(self, c: list) -> list:
+        """The e coefficients of c mod Phi_{p^m}, by the fold and one block step."""
+        e, s = self.e, self.s
+        c = _fold(c, self.p * s)
+        for t, top in enumerate(c[e:]):
+            for i in range(t, e, s):
+                c[i] -= top
+        return c[:e]
 
     @cached_property
     def binomials(self) -> tuple[tuple[int, ...], ...]:
@@ -146,14 +166,15 @@ class LocalCycloElement:
     __slots__ = ("p", "m", "precision", "coeffs", "ring")
 
     def __init__(self, p: int, m: int, precision: int, coeffs) -> None:
+        precision = index(precision)
         if precision < 1:
             raise ValueError("precision must be >= 1")
         ring = _local_ring(p, m)
         e = ring.e
         pn = p**precision
-        c = [int(x) for x in coeffs]
+        c = list(map(index, coeffs))
         if len(c) > e:
-            _, c = _poly_divmod_monic(c, ring.phi)
+            c = ring.reduce(c)
         c = [x % pn for x in c]
         c += [0] * (e - len(c))
         object.__setattr__(self, "p", p)

@@ -1,6 +1,7 @@
-"""Reference oracles for both exact kernels and the h^- product route.
+"""Reference oracles for both exact kernels, the local ring and the h^- product route.
 
-A fraction-free Bareiss determinant, a Sylvester resultant evaluated with it,
+The cyclotomic polynomial Phi_n for every n, by exact monic long division, a
+fraction-free Bareiss determinant, a Sylvester resultant evaluated with it,
 a field-element class with Fraction coefficients, its norm, a brute-force
 enumeration of the Dirichlet characters of prime-power modulus, and B(chi)
 as an element of Q(zeta_d). The package computes determinants modulo primes
@@ -20,7 +21,43 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from towerforge.arith import factorize
-from towerforge.cyclotomic import _poly_divmod_monic, _trim, cyclo_poly
+from towerforge.cyclotomic import _trim
+
+
+def _poly_divmod_monic(num: list, den) -> tuple[list, list]:
+    """Divide by a monic polynomial; exact over Z when num is integral."""
+    num = list(num)
+    dd = len(den) - 1
+    terms = [(i, c) for i, c in enumerate(den[:dd]) if c]
+    quo = [0] * max(0, len(num) - dd)
+    for k in range(len(quo) - 1, -1, -1):
+        c = num[k + dd]
+        if c:
+            quo[k] = c
+            for i, t in terms:
+                num[k + i] -= c * t
+    return quo, _trim(num[:dd])
+
+
+def cyclo_poly(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree.
+
+    For a prime r not dividing k, x^r has order k exactly when x has order k
+    or k r: r phi(k) distinct roots, so Phi_k(x^r) = Phi_k(x) Phi_{k r}(x).
+    With s = n / rad n, Phi_n(x) = Phi_{rad n}(x^s): zeta^s has order rad n
+    for each primitive n-th root zeta, and both sides are monic of degree
+    phi(n). So Phi_n comes from Phi_1(x^s) = x^s - 1 by one exact division
+    Phi_{k r}(x^s) = Phi_k(x^(r s)) / Phi_k(x^s) per prime r of n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    primes = factorize(n).primes
+    s = n // prod(primes)
+    poly = [-1] + [0] * (s - 1) + [1]
+    for r in primes:
+        stretched = [0 if i % r else poly[i // r] for i in range(r * len(poly) - r + 1)]
+        poly = _poly_divmod_monic(stretched, poly)[0]
+    return tuple(poly)
 
 
 def poly_mul(a: list, b: list) -> list:

@@ -8,8 +8,10 @@ import sys
 
 import local_reference
 import pytest
+from cyclo_reference import _poly_divmod_monic, cyclo_poly
 from test_cli import cli_env
 
+from towerforge import arith, cyclotomic
 from towerforge.errors import CofactorError, PrecisionError
 from towerforge.local import (
     AT_CAP,
@@ -288,6 +290,11 @@ class TestElementBasics:
         expected = LocalCycloElement(3, 1, 4, [-1, -1])
         assert z2 == expected
 
+    @pytest.mark.parametrize("precision, coeffs", [(4, [2.9, 1.5]), (4.0, [2, 1]), (4, ["7"])])
+    def test_non_integers_rejected(self, precision, coeffs):
+        with pytest.raises(TypeError):
+            LocalCycloElement(3, 1, precision, coeffs)
+
     def test_ring_mismatch(self):
         a = LocalCycloElement.from_int(1, 3, 1, 4)
         b = LocalCycloElement.from_int(1, 2, 2, 4)
@@ -326,3 +333,45 @@ class TestElementBasics:
         )
         assert child.returncode == 0, child.stderr.decode()
         assert child.stdout.decode() == f"{kappa(x, 8)} {(x * x).coeffs}\n"
+
+
+CLOSED_FORM_RINGS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in (1, 2, 3)]
+
+
+class TestClosedForm:
+    """Phi_{p^m} = sum_{k<p} x^(k p^(m-1)), against long division by the reference Phi_n."""
+
+    @pytest.mark.parametrize("p, m", CLOSED_FORM_RINGS)
+    def test_reduction_equals_long_division(self, p, m):
+        phi = cyclo_poly(p**m)
+        e = len(phi) - 1
+        precision = 3
+        pn = p**precision
+        lengths = range(2 * e + 2) if e <= 100 else (e - 1, e, e + 1, 2 * e - 1, 3 * p**m)
+        rng = random.Random(p**m)
+        for n in lengths:
+            c = [rng.randrange(-(pn**2), pn**2) for _ in range(n)]
+            remainder = [x % pn for x in _poly_divmod_monic(c, phi)[1]]
+            expected = tuple(remainder + [0] * (e - len(remainder)))
+            assert LocalCycloElement(p, m, precision, c).coeffs == expected, n
+
+    @pytest.mark.parametrize("p, m", CLOSED_FORM_RINGS)
+    def test_pi_times_cofactor_is_p(self, p, m):
+        phi = cyclo_poly(p**m)
+        assert _local_ring(p, m).cofactor == tuple(sum(phi[j + 1 :]) for j in range(len(phi) - 1))
+        pi = LocalCycloElement.pi(p, m, 4)
+        assert pi * _pi_cofactor(p, m, 4) == LocalCycloElement.from_int(p, p, m, 4)
+
+    def test_building_and_multiplying_factors_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorize called by the local ring")
+
+        monkeypatch.setattr(cyclotomic, "factorize", refuse)
+        monkeypatch.setattr(arith, "factorize", refuse)
+        _local_ring.cache_clear()
+        for p, m in ((2, 3), (3, 2), (5, 1), (7, 2), (13, 3)):
+            x = LocalCycloElement(p, m, 4, range(1, 3 * p**m))
+            assert x * x == x**2
+            pi = LocalCycloElement.pi(p, m, 4)
+            assert pi * _pi_cofactor(p, m, 4) == LocalCycloElement.from_int(p, p, m, 4)
+        _local_ring.cache_clear()
