@@ -316,6 +316,17 @@ def mult_order(a: int, n: int) -> int:
     return t
 
 
+def _least_witness(n: int, order: int, primes: Sequence[int]) -> int:
+    """Least g in [2, n) prime to n with no g^(order/r) = 1 (mod n) for r in primes.
+
+    In a cyclic (Z/n)^* of that order, g^(order/k) has exact order k if primes are those of k | order.
+    """
+    for g in range(2, n):
+        if gcd(g, n) == 1 and all(pow(g, order // r, n) != 1 for r in primes):
+            return g
+    raise ArithmeticError(f"no g below {n} passes for the primes {primes} of {order}")
+
+
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p^k if n is a prime power, else None."""
     if n < 2:

@@ -87,22 +87,9 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import NamedTuple
 
-from .arith import FactoredInteger, admit_conductor, conductor_label, euler_phi, factorize
+from .arith import FactoredInteger, _least_witness, admit_conductor, conductor_label, euler_phi, factorize
 from .cyclotomic import integer_det, primitive_root_product
 from .errors import BudgetExceededError, IntegralityError
-
-
-def _primitive_root(p: int, m: int) -> int:
-    """Smallest primitive root mod p^m, p odd."""
-    q = p**m
-    phi = euler_phi(q)
-    prime_divisors = factorize(phi).primes
-    for g in range(2, q):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // r, q) != 1 for r in prime_divisors):
-            return g
-    raise AssertionError("no primitive root found for an odd prime power")
 
 
 def _positive_quotient(q: int, numerator: int, denominator: int, route: str) -> int:
@@ -128,7 +115,8 @@ def _orbit_vector(p: int, m: int, q: int) -> tuple[list[int], list[int]]:
         n, g = q // 4, 5
         orders = [n >> j for j in range(m - 1)]
     else:
-        n, g = euler_phi(q), _primitive_root(p, m)
+        n = euler_phi(q)
+        g = _least_witness(q, n, factorize(n).primes)
         orders = [n // k for k in range(1, n, 2) if n % k == 0]
     vector = [1] * n
     for x in range(1, n):

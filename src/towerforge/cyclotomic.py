@@ -30,7 +30,7 @@ from itertools import compress
 from math import gcd, lcm, prod
 from operator import index
 
-from .arith import _MR_BOUND, _POCKLINGTON_BITS, _SMALL_ODD_PRIMES, factorize, pocklington_prime
+from .arith import _MR_BOUND, _POCKLINGTON_BITS, _SMALL_ODD_PRIMES, _least_witness, factorize, pocklington_prime
 
 
 def _trim(p: list) -> list:
@@ -263,8 +263,8 @@ def _unit_values_product(f: list, d: int, ell: int) -> int:
     with j in (Z/m)^*, and f(-x) is evaluated at the omega^j instead: f mod
     x^m + 1 with its odd terms negated, which is f(-x) mod x^m - 1. omega of
     exact order m mod l is found on each call, from the least g with no
-    g^((l-1)/r) = 1 for a prime r | m. The m values f(omega^j) come from one
-    cyclic correlation (chirp-z, Bluestein 1970), by
+    g^((l-1)/r) = 1 for a prime r | m (``_least_witness``). The m values
+    f(omega^j) come from one cyclic correlation (chirp-z, Bluestein 1970), by
     i j = C(i + j, 2) - C(i, 2) - C(j, 2) with C(k, 2) = k (k - 1)/2, which
     needs no square root of omega:
     f(omega^j) = omega^(-C(j, 2)) sum_i a_i b_(i + j) with
@@ -278,10 +278,7 @@ def _unit_values_product(f: list, d: int, ell: int) -> int:
     m = d // 2 if d % 2 == 0 else d
     if m < d:  # f(-x)
         f = [-c if i & 1 else c for i, c in enumerate(f)]
-    primes = factorize(m).primes
-    g = 2  # g^((l-1)/m) has exact order m iff no g^((l-1)/r), r | m, is 1
-    while any(pow(g, (ell - 1) // r, ell) == 1 for r in primes):
-        g += 1
+    g = _least_witness(ell, ell - 1, factorize(m).primes)
     omega = pow(g, (ell - 1) // m, ell)
     powers = [1] * m
     for e in range(1, m):

@@ -8,10 +8,11 @@ Everything fixed by (p, m) lives in one cached ring context per ring, which
 every element points to; precision stays per element, because dividing by pi
 lowers it.
 
-Valuations are read off the pi-power basis: substituting x = 1 - t rewrites an
-element as sum c_j t^j with j < e, and the terms c_j pi^j have pairwise
-distinct valuations e*v_p(c_j) + j, so the minimum is exact whenever it is
-resolved by the carried precision (cap e*N).
+Valuations are read off the pi-power basis: substituting x = 1 - t (a Taylor
+shift by Horner's rule, O(e^2) additions mod p^N; von zur Gathen and Gerhard,
+ISSAC 1997) rewrites an element as sum c_j t^j with j < e, and the terms
+c_j pi^j have pairwise distinct valuations e*v_p(c_j) + j, so the minimum is
+exact whenever it is resolved by the carried precision (cap e*N).
 
 The same basis gives a canonical residue mod pi^l. Write l = e*k + r with
 0 <= r < e. An element is 0 mod pi^l iff every term has valuation >= l (the
@@ -46,7 +47,6 @@ p in {2, 3}, m in {1, 2} and levels <= 8.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import comb
 from operator import index
 from typing import NamedTuple
 
@@ -80,8 +80,7 @@ class _LocalRing:
     """What the ring Z_p[zeta_{p^m}] fixes, shared by all its elements.
 
     One instance per (p, m), from ``_local_ring``; nothing changes it after
-    construction except the lazy tables, which fill in on first use (a ring
-    that only multiplies never needs the e^2 binomials).
+    construction except the lazy kappa table, which fills in on first use.
     With s = p^(m-1), Phi_p(x^s) = sum_{k<p} x^(k s) is monic of degree
     e = (p - 1) s and vanishes exactly at the x with x^(p s) = 1 != x^s, the
     e primitive p^m-th roots of unity, so it is Phi = Phi_{p^m}.
@@ -112,14 +111,12 @@ class _LocalRing:
                 c[i] -= top
         return c[:e]
 
-    @cached_property
-    def binomials(self) -> tuple[tuple[int, ...], ...]:
-        """Row j holds (-1)^j C(i, j) for i < e: the substitution x = 1 - t."""
-        return tuple(tuple((-1) ** j * comb(i, j) for i in range(self.e)) for j in range(self.e))
-
     def t_basis(self, coeffs, modulus: int) -> list[int]:
-        """The c_j, each mod modulus, with sum_i coeffs[i] x^i = sum_j c_j (1 - x)^j."""
-        return [sum(b * a for b, a in zip(row, coeffs)) % modulus for row in self.binomials]
+        """The c_j mod modulus with sum_i coeffs[i] x^i = sum_j c_j (1 - x)^j, by Horner's rule."""
+        c: list[int] = []
+        for a in reversed(coeffs):  # c(t) <- c(t) (1 - t) + a, with t = 1 - x
+            c = [(x - y) % modulus for x, y in zip(c + [0], [-a] + c)]
+        return c
 
     def key(self, c, level: int) -> tuple[int, ...]:
         """Canonical residue mod pi^level from t-basis coefficients c.

@@ -104,10 +104,13 @@ class HminusCache:
         self.path = Path(path)
 
     def load(self) -> dict[int, CacheEntry]:
-        if not self.path.exists():
+        try:
+            lines = self.path.read_text(encoding="utf-8").splitlines()
+        except FileNotFoundError:
             return {}
+        except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+            raise ValueError(f"cannot use cache {self.path}: {getattr(exc, 'strerror', exc)}") from exc
         entries: dict[int, CacheEntry] = {}
-        lines = self.path.read_text(encoding="utf-8").splitlines()
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
@@ -130,13 +133,16 @@ class HminusCache:
     def store(self, entry: CacheEntry) -> None:
         _check_cacheable(entry.conductor, entry.h_minus.factors)
         line = entry.to_json_line().encode("utf-8") + b"\n"
-        with self.path.open("a+b") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size:
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    line = b"\n" + line
-            handle.write(line)
+        try:
+            with self.path.open("a+b") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        line = b"\n" + line
+                handle.write(line)
+        except OSError as exc:
+            raise ValueError(f"cannot use cache {self.path}: {exc.strerror}") from exc
 
 
 def _now() -> str:

@@ -10,6 +10,7 @@ from arith_reference import miller_rabin, wheel_factorize
 from towerforge import arith
 from towerforge.arith import (
     FactoredInteger,
+    _least_witness,
     admit_conductor,
     conductor_label,
     euler_phi,
@@ -311,6 +312,50 @@ class TestMultOrder:
         with pytest.raises(ValueError):
             mult_order(2, 1)
 
+
+
+def brute_order(a, n):
+    x, k = a % n, 1
+    while x != 1:
+        x = x * a % n
+        k += 1
+    return k
+
+
+class TestLeastWitness:
+    """The one search behind the least primitive root mod p^m and the chirp-z omega mod l."""
+
+    def test_least_primitive_root_of_odd_prime_powers(self):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            q = p
+            while q < 3000:
+                phi = q - q // p
+                expected = next(g for g in range(2, q) if g % p and brute_order(g, q) == phi)
+                assert _least_witness(q, phi, factorize(phi).primes) == expected, q
+                q *= p
+
+    def test_least_root_of_40487_is_not_one_of_its_square(self):
+        # 5 generates (Z/40487)^* but not (Z/40487^2)^*; 10 is the least that does
+        p = 40487
+        assert _least_witness(p, p - 1, factorize(p - 1).primes) == 5
+        assert _least_witness(p * p, p * (p - 1), factorize(p * (p - 1)).primes) == 10
+
+    @pytest.mark.parametrize("ell", [31, 211, 421, 2311])
+    def test_omega_has_exact_order_m(self, ell):
+        for m in range(3, ell, 2):
+            if (ell - 1) % m:
+                continue
+            g = _least_witness(ell, ell - 1, factorize(m).primes)
+            orders = [brute_order(pow(h, (ell - 1) // m, ell), ell) for h in range(2, g + 1)]
+            assert orders[-1] == m and m not in orders[:-1], (ell, m)
+
+    def test_non_units_are_skipped_and_an_exhausted_search_raises(self):
+        # every unit mod 15 has order dividing 4; 3 and 5 pass the power test
+        # but are not units
+        with pytest.raises(ArithmeticError):
+            _least_witness(15, 8, (2,))
+        with pytest.raises(ArithmeticError):
+            _least_witness(8, 4, (2,))
 
 class TestIsPrimePower:
     def test_basic(self):

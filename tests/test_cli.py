@@ -349,6 +349,40 @@ class TestSearch:
         )
 
 
+
+def _missing_directory(tmp_path):
+    return "missing/cache.jsonl"
+
+
+def _a_directory(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return "dir"
+
+
+def _not_utf8(tmp_path):
+    (tmp_path / "cache.jsonl").write_bytes(b'{"conductor":4,\xff\n')
+    return "cache.jsonl"
+
+
+class TestUnusableCachePath:
+    """A cache path that cannot be read or appended to is bad input: exit 2,
+    one line naming the path, no traceback."""
+
+    @pytest.mark.parametrize("damage", [_missing_directory, _a_directory, _not_utf8])
+    @pytest.mark.parametrize(
+        "args",
+        [["hminus", "--p", "3", "--m", "2"], ["search", "--p", "3", "--m-from", "1", "--m-to", "3"]],
+        ids=["hminus", "search"],
+    )
+    def test_exits_2_naming_the_path(self, tmp_path, args, damage):
+        cache_name = damage(tmp_path)
+        result = run_cli(args, tmp_path, cache_name)
+        cache = tmp_path / cache_name
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot use cache {cache}: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
 @pytest.fixture
 def cli(monkeypatch):
     """This tree's ``towerforge.cli``, imported into this process from any cwd."""

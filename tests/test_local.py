@@ -1,6 +1,7 @@
 """Truncated local cyclotomic arithmetic, valuations, and kappa invariants."""
 
 import copy
+import math
 import pickle
 import random
 import subprocess
@@ -375,3 +376,40 @@ class TestClosedForm:
             pi = LocalCycloElement.pi(p, m, 4)
             assert pi * _pi_cofactor(p, m, 4) == LocalCycloElement.from_int(p, p, m, 4)
         _local_ring.cache_clear()
+
+
+class TestTBasis:
+    """The pi-basis digits by Horner's rule, against the binomial expansion."""
+
+    @pytest.mark.parametrize(
+        "p, m", [(p, m) for p, m in CLOSED_FORM_RINGS if (p - 1) * p ** (m - 1) <= 100]
+    )
+    def test_equals_the_binomial_expansion(self, p, m):
+        # sum_i a_i (1 - t)^i = sum_j (-1)^j (sum_i a_i C(i, j)) t^j
+        ring = _local_ring(p, m)
+        rng = random.Random(7 * p + m)
+        for precision in (1, 2, 3):
+            pn = p**precision
+            for _ in range(4):
+                a = [rng.randrange(pn) for _ in range(ring.e)]
+                expected = [
+                    (-1) ** j * sum(ai * math.comb(i, j) for i, ai in enumerate(a)) % pn
+                    for j in range(ring.e)
+                ]
+                assert ring.t_basis(a, pn) == expected
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("v", [1, 2, 3])
+    def test_valuation_and_division_in_large_rings(self, p, v):
+        # e = 1210 and 2028: one conversion is O(e^2) residue additions
+        precision = 4
+        unit = LocalCycloElement(p, 3, precision, [2, 5, 7])
+        x = unit * LocalCycloElement.pi(p, 3, precision) ** v
+        assert pi_valuation(unit) == 0
+        assert pi_valuation(x) == v
+        assert divide_by_pi(x, v) == unit.reduce_precision(precision - v)
+
+    def test_ring_stores_no_table_for_valuations(self):
+        ring = _local_ring(11, 2)
+        pi_valuation(LocalCycloElement(11, 2, 3, [2, 5, 7]))
+        assert set(vars(ring)) == {"p", "m", "s", "e", "cofactor"}
