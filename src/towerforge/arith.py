@@ -2,9 +2,13 @@
 and the one admission check for a conductor p^m (``admit_conductor``).
 
 Everything here is deterministic. Primality up to 10^4 is read from a sieve of
-Eratosthenes; above that it uses a fixed Miller-Rabin base set that is proven
-complete below 3.3e24, far above any integer this package ever certifies, and
-inputs beyond that bound are rejected rather than accepted probabilistically.
+Eratosthenes; above that it runs Miller-Rabin on the first k prime bases, k the
+least index with n below psi_k, the least odd composite that passes the first k
+(OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Jiang and Deng, Math. Comp. 83,
+2014; Sorenson and Webster, Math. Comp. 86, 2017). psi_13 = 3.3e24 is far above
+any integer this package ever certifies, and inputs beyond it are rejected
+rather than accepted probabilistically. A multiplicative order is found by one
+ladder per prime of a known multiple of it (``_order_dividing``).
 The CRT primes of the exact kernels have the form k 2^41 + 1 below 2^82, and
 ``pocklington_prime`` proves each of them with one exponentiation, by
 Pocklington's N - 1 criterion.
@@ -12,6 +16,7 @@ Pocklington's N - 1 criterion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cache
 from math import gcd, isqrt, prod
@@ -23,6 +28,15 @@ from .errors import BudgetExceededError, FactorizationError
 # (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_k, k = 1..13 (OEIS A014233): the least odd composite that is a strong
+# probable prime to each of the first k bases. psi_1..psi_8 Jaeschke (1993),
+# psi_9..psi_11 Jiang and Deng (2014), psi_12, psi_13 Sorenson and Webster (2017).
+_MR_PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    _MR_BOUND,
+)
 
 _TRIAL_BOUND = 10_000
 
@@ -35,8 +49,10 @@ _SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 3.3e24.
 
-    Up to the trial bound the answer is a lookup in the sieve of Eratosthenes;
-    above it, Miller-Rabin on a base set proven complete below the bound.
+    Up to the trial bound the answer is a lookup in the sieve of Eratosthenes.
+    Above it, after trial division by the 13 base primes, Miller-Rabin runs on
+    the first k of them, k the least index with n < psi_k (``_MR_PSI``). An odd
+    composite below psi_k fails one of the first k bases, so True is a proof.
     """
     if n >= _MR_BOUND:
         raise ValueError(f"{n} exceeds the deterministic certification bound {_MR_BOUND}")
@@ -50,7 +66,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -145,7 +161,8 @@ class FactoredInteger(_FactoredFields):
 def _pollard_brent(n: int, c: int, budget: int, e: int = 2) -> tuple[int | None, int]:
     """Brent-cycle Pollard rho on y -> y^e + c mod n; returns (factor, used).
 
-    ``used`` counts walk steps, whatever e is.
+    ``used`` counts walk steps, whatever e is. q multiplies x - y, not
+    |x - y|, so each q is +-(that product) mod n and every gcd is the same.
     """
     y, r, q = 2, 1, 1
     g = 1
@@ -161,7 +178,7 @@ def _pollard_brent(n: int, c: int, budget: int, e: int = 2) -> tuple[int | None,
             step = min(128, r - k)
             for _ in range(step):
                 y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = gcd(q, n)
             k += step
             used += step
@@ -173,7 +190,7 @@ def _pollard_brent(n: int, c: int, budget: int, e: int = 2) -> tuple[int | None,
         g = 1
         while g == 1:
             ys = ((ys * ys if e == 2 else pow(ys, e, n)) + c) % n
-            g = gcd(abs(x - ys), n)
+            g = gcd(x - ys, n)
             used += 1
             if used > budget:
                 return None, used
@@ -299,20 +316,30 @@ def euler_phi(n: int) -> int:
 
 
 def mult_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 mod n.
-
-    Starts from phi(n) and strips primes while the congruence survives, so the
-    cost is a factorization plus O(log) modular exponentiations; no naive
-    iteration.
-    """
+    """Least k >= 1 with a^k = 1 mod n: ``_order_dividing`` on phi(n)."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    t = euler_phi(n)
-    for p in factorize(t).primes:
-        while t % p == 0 and pow(a, t // p, n) == 1:
-            t //= p
+    return _order_dividing(a, n, euler_phi(n))
+
+
+def _order_dividing(a: int, n: int, t: int) -> int:
+    """Least k | t with a^k = 1 mod n, given a^t = 1 mod n.
+
+    For each prime power r^e exactly dividing t: drop it from t, then climb
+    y = a^t, y^r, y^(r^2), ... until y = 1, putting back one r per step. That
+    is one full-size exponentiation per prime of t. The order k divides t
+    throughout, so with r removed a^(t r^j) = 1 exactly when r^j holds the
+    r-part of k, and t ends at k.
+    """
+    for r in factorize(t).primes:
+        while t % r == 0:
+            t //= r
+        y = pow(a, t, n)
+        while y != 1:
+            y = pow(y, r, n)
+            t *= r
     return t
 
 

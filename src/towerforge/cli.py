@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 budget exceeded.
 ``hminus``, ``verify`` and ``search`` admit (p, m, --budget) through the one
 check ``arith.admit_conductor``, in its order; its ValueError exits 2 and its
-BudgetExceededError exits 3.
+BudgetExceededError exits 3. ``regular`` refuses a p that is not prime (exit
+2), then a prime p above its --budget (exit 3), before any tangent number.
 The h^- cache path defaults to ./hminus-cache.jsonl and can be overridden via
 the TOWERFORGE_CACHE environment variable.
 """
@@ -16,7 +17,7 @@ import os
 import sys
 from functools import cache
 
-from .arith import admit_conductor, mult_order
+from .arith import admit_conductor, is_prime, mult_order
 from .bernoulli import is_regular_prime
 from .characters import hminus_determinant
 from .criteria import Conclusion, TowerCandidate, verify_candidate
@@ -73,6 +74,10 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_regular(args) -> int:
+    if not is_prime(args.p):
+        raise ValueError(f"{args.p} is not prime")
+    if args.p > args.budget:
+        raise BudgetExceededError(f"prime {args.p} exceeds budget {args.budget}")
     verdict = "regular" if is_regular_prime(args.p) else "irregular"
     print(f"{args.p} is {verdict}")
     return EXIT_OK
@@ -150,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_regular = sub.add_parser("regular", help="regular-prime test")
     p_regular.add_argument("--p", type=int, required=True)
+    p_regular.add_argument("--budget", type=int, default=2048, help="largest p to attempt")
     p_regular.set_defaults(func=_cmd_regular)
 
     p_verify = sub.add_parser("verify", help="evaluate both tower conditions for (p, m, h)")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import FactoredInteger, euler_phi, is_prime, mult_order
+from .arith import FactoredInteger, _order_dividing, euler_phi, is_prime, mult_order
 from .bernoulli import is_regular_prime
 
 if TYPE_CHECKING:
@@ -41,9 +41,11 @@ class TowerCandidate(NamedTuple):
             raise ValueError(f"h = {h} does not divide h^- = {h_minus.value}")
         if p == h:
             raise ValueError("h = p has no multiplicative order f")
-        f = mult_order(p, h)
-        assert (h - 1) % f == 0
-        return cls(p, m, h, f, euler_phi(p**m), h_minus)
+        if p % h == 0:
+            raise ValueError(f"{p} is not a unit mod {h}")
+        # h is proven prime, so p^(h - 1) = 1 (mod h): f is the least divisor
+        # of h - 1 that works, found without factoring h
+        return cls(p, m, h, _order_dividing(p, h, h - 1), euler_phi(p**m), h_minus)
 
 
 class ConditionIVerdict(NamedTuple):

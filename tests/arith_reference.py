@@ -1,7 +1,12 @@
-"""Reference oracles for is_prime and factorize: Miller-Rabin alone, and a wheel loop.
+"""Reference oracles for is_prime, factorize, mult_order and rho.
 
-The package answers is_prime for n up to the trial bound from a sieve;
-``miller_rabin`` is the earlier test that ran the 13 bases on every n.
+The package answers is_prime for n up to the trial bound from a sieve, and
+above it runs only the Miller-Rabin bases n's size needs; ``miller_rabin`` is
+the earlier test that ran the 13 bases on every n (or the bases it is given).
+
+``strip_mult_order`` is the earlier mult_order: from phi(n) it strips each
+prime while the congruence survives, one full-size exponentiation per step.
+``abs_pollard_brent`` is the earlier rho, which multiplied by |x - y|.
 
 The package finds the prime factors below the trial bound with one gcd
 against the product of those primes. This earlier version steps a wheel
@@ -12,7 +17,7 @@ hand rho the same survivors and return the same factorization.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from towerforge.arith import (
     _MR_BASES,
@@ -20,16 +25,18 @@ from towerforge.arith import (
     _TRIAL_BOUND,
     FactoredInteger,
     _pollard_brent,
+    euler_phi,
+    factorize,
     is_prime,
 )
 from towerforge.errors import FactorizationError
 
 
-def miller_rabin(n: int) -> bool:
-    """Deterministic Miller-Rabin on the 13 base primes, for 0 <= n < 3.3e24."""
+def miller_rabin(n: int, bases: tuple[int, ...] = _MR_BASES) -> bool:
+    """Miller-Rabin on the given prime bases; deterministic with all 13 for 0 <= n < 3.3e24."""
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in bases:
         if n == p:
             return True
         if n % p == 0:
@@ -39,7 +46,7 @@ def miller_rabin(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -111,3 +118,50 @@ def wheel_factorize(n: int, *, rho_budget: int = 2_000_000) -> FactoredInteger:
         stack.extend((factor, m // factor))
 
     return FactoredInteger(value, tuple(sorted(counts.items())))
+
+
+def strip_mult_order(a: int, n: int) -> int:
+    """Least k >= 1 with a^k = 1 mod n, by stripping primes from phi(n) (the earlier loop)."""
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    if gcd(a, n) != 1:
+        raise ValueError(f"{a} is not a unit mod {n}")
+    t = euler_phi(n)
+    for p in factorize(t).primes:
+        while t % p == 0 and pow(a, t // p, n) == 1:
+            t //= p
+    return t
+
+
+def abs_pollard_brent(n: int, c: int, budget: int, e: int = 2) -> tuple[int | None, int]:
+    """Brent-cycle Pollard rho on y -> y^e + c mod n, multiplying by |x - y| (the earlier walk)."""
+    y, r, q = 2, 1, 1
+    g = 1
+    used = 0
+    x = ys = y
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            step = min(128, r - k)
+            for _ in range(step):
+                y = ((y * y if e == 2 else pow(y, e, n)) + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += step
+            used += step
+            if used > budget:
+                return None, used
+        r *= 2
+    if g == n:
+        g = 1
+        while g == 1:
+            ys = ((ys * ys if e == 2 else pow(ys, e, n)) + c) % n
+            g = gcd(abs(x - ys), n)
+            used += 1
+            if used > budget:
+                return None, used
+    return (g if g != n else None), used

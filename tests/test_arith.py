@@ -6,11 +6,15 @@ from math import gcd
 import pytest
 
 import arith_reference
-from arith_reference import miller_rabin, wheel_factorize
+from arith_reference import abs_pollard_brent, miller_rabin, strip_mult_order, wheel_factorize
 from towerforge import arith
 from towerforge.arith import (
+    _MR_BASES,
+    _MR_BOUND,
+    _MR_PSI,
     FactoredInteger,
     _least_witness,
+    _order_dividing,
     admit_conductor,
     conductor_label,
     euler_phi,
@@ -80,6 +84,76 @@ class TestIsPrime:
     def test_bound_rejection(self):
         with pytest.raises(ValueError):
             is_prime(10**25)
+
+
+# OEIS A014233, written out here so that a mistyped table entry shows
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def psi_bands():
+    """(k, low, high), each band nonempty: the n with low <= n < high take the first k bases.
+
+    The bands start above the sieve, so k = 1 has none.
+    """
+    above_sieve = arith._TRIAL_BOUND + 1
+    lows = [max(low, above_sieve) for low in (0,) + _MR_PSI[:-1]]
+    return [(k, low, high) for k, (low, high) in enumerate(zip(lows, _MR_PSI), 1) if low < high]
+
+
+class TestMillerRabinBases:
+    """is_prime runs the first k bases on n < psi_k, psi_k from OEIS A014233."""
+
+    def test_psi_table_is_a014233(self):
+        assert len(_MR_PSI) == len(_MR_BASES) == 13
+        for k, (got, expected) in enumerate(zip(_MR_PSI, A014233), 1):
+            assert got == expected, k
+        assert _MR_PSI[-1] == _MR_BOUND
+
+    def test_each_psi_is_a_strong_pseudoprime_to_its_bases_and_rejected(self):
+        for k, psi in enumerate(_MR_PSI[:-1], 1):
+            assert miller_rabin(psi, _MR_BASES[:k]), k  # k bases do not decide psi_k
+            assert not miller_rabin(psi), k
+            assert not is_prime(psi), k
+        with pytest.raises(ValueError):
+            is_prime(_MR_BOUND)
+
+    def test_matches_13_bases_in_every_band(self):
+        rng = random.Random(2014)
+        numbers = []
+        for _, low, high in psi_bands():
+            numbers += [rng.randrange(low, high) | 1 for _ in range(200)]
+            numbers += [n for n in (low - 2, low, low + 2, high - 2, high + 2) if n < _MR_BOUND]
+        for n in numbers:
+            assert is_prime(n) == miller_rabin(n), n
+
+    def test_a_prime_in_band_k_runs_k_bases(self, monkeypatch):
+        bases = []
+
+        def recorded(a, e, n):
+            bases.append(a)
+            return pow(a, e, n)
+
+        for k, low, high in psi_bands():
+            n = next(n for n in range(low | 1, high, 2) if miller_rabin(n))
+            bases.clear()
+            monkeypatch.setattr(arith, "pow", recorded, raising=False)
+            assert is_prime(n)
+            monkeypatch.undo()
+            assert bases == list(_MR_BASES[:k]), (k, n)
 
 
 class TestPocklingtonPrime:
@@ -239,6 +313,30 @@ class TestTrialDivisionByGcd:
             assert dict(factorize(n).factors) == {int(p): e for p, e in sympy.factorint(n).items()}, n
 
 
+class TestRhoWithoutAbs:
+    """_pollard_brent multiplies by x - y; the earlier walk multiplied by |x - y|."""
+
+    @staticmethod
+    def composites(rng, count, low=10**5):
+        return [rng.randrange(low, 10 * low) * rng.randrange(low, 10 * low) for _ in range(count)]
+
+    def test_same_factor_and_steps_on_x_squared(self):
+        rng = random.Random(2)
+        # small factors make the batched gcd overshoot to n, so the
+        # step-by-step redo runs too
+        for n in self.composites(rng, 60) + self.composites(rng, 60, 10):
+            for c in (1, 2, 3):
+                assert arith._pollard_brent(n, c, 20_000) == abs_pollard_brent(n, c, 20_000), (n, c)
+
+    def test_same_factor_and_steps_on_x_to_the_324(self):
+        rng = random.Random(324)
+        numbers = [TestRhoExponent.COMPOSITE] + self.composites(rng, 20)
+        for n in numbers:
+            for c in (1, 2):
+                got = arith._pollard_brent(n, c, 4_000, 324)
+                assert got == abs_pollard_brent(n, c, 4_000, 324), (n, c)
+
+
 class TestRhoExponent:
     # h^-(243) = 2593 * 6252002011 * 922099242709; both large primes are 1 mod 162
     COMPOSITE = 6252002011 * 922099242709
@@ -312,6 +410,25 @@ class TestMultOrder:
         with pytest.raises(ValueError):
             mult_order(2, 1)
 
+    def test_matches_the_strip_loop_below_10_15(self):
+        rng = random.Random(310)
+        cases = [(2, 21121), (3, 2593), (5, 20602801)]
+        while len(cases) < 3 + 240:
+            n = rng.randrange(3, 10**15)
+            a = rng.randrange(2, n)
+            if gcd(a, n) == 1:
+                cases.append((a, n))
+        for a, n in cases:
+            assert mult_order(a, n) == strip_mult_order(a, n), (a, n)
+
+    def test_ladder_from_any_multiple_of_the_order(self):
+        rng = random.Random(21)
+        for a, n, k in ((2, 21121, 10560), (3, 2593, 648), (5, 20602801, 10301400)):
+            assert _order_dividing(a, n, n - 1) == k
+            for _ in range(20):
+                assert _order_dividing(a, n, k * rng.randrange(1, 10**6)) == k
+        assert _order_dividing(1, 7, 1) == 1
+        assert _order_dividing(6, 7, 2) == 2
 
 
 def brute_order(a, n):

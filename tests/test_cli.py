@@ -145,6 +145,19 @@ class TestOrderRegular:
     def test_regular_composite(self, tmp_path):
         assert run_cli(["regular", "--p", "9"], tmp_path).returncode == 2
 
+    def test_regular_above_budget_exits_3(self, tmp_path):
+        result = run_cli(["regular", "--p", "6007"], tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == "budget exceeded: prime 6007 exceeds budget 2048\n"
+        result = run_cli(["regular", "--p", "37", "--budget", "37"], tmp_path)
+        assert (result.returncode, result.stdout) == (0, "37 is irregular\n")
+        result = run_cli(["regular", "--p", "37", "--budget", "36"], tmp_path)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == "budget exceeded: prime 37 exceeds budget 36\n"
+        # a p that is not prime is bad input whatever the budget
+        result = run_cli(["regular", "--p", "9", "--budget", "5"], tmp_path)
+        assert (result.returncode, result.stderr) == (2, "error: 9 is not prime\n")
+
 
 class TestVerify:
     def test_passing_candidate(self, tmp_path):
@@ -613,6 +626,19 @@ class TestKappaDomain:
         args = ["kappa", "--p", "3", "--m", "1", "--elem", "2,-1", "--lmax", "3"]
         assert run_in_process(cli, args, capsys) == (0, "1\n", "")
         assert set(built) == {(3, 1)}
+
+
+def test_regular_refuses_over_budget_before_any_tangent_number(cli, capsys, monkeypatch):
+    from towerforge import bernoulli
+
+    def no_table(n):
+        raise AssertionError(f"tangent table to {n} built")
+
+    monkeypatch.setattr(bernoulli, "_tangent_numbers", no_table)
+    for p in ("6007", "20011", "2053"):
+        code, out, err = run_in_process(cli, ["regular", "--p", p], capsys)
+        assert (code, out, err) == (3, "", f"budget exceeded: prime {p} exceeds budget 2048\n")
+    assert run_in_process(cli, ["regular", "--p", "6009"], capsys) == (2, "", "error: 6009 is not prime\n")
 
 
 class TestInProcessReuse:

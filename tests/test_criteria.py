@@ -1,11 +1,14 @@
 """Tower conditions, GL-order rank bound, signatures, finiteness obstruction."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from towerforge.arith import factorize, mult_order
+from towerforge import arith
+from towerforge.arith import FactoredInteger, factorize, mult_order
 from towerforge.criteria import (
     Conclusion,
     TowerCandidate,
@@ -27,6 +30,8 @@ CASE_P2 = TowerCandidate.build(2, 7, 21121, H_MINUS_128)
 CASE_P3 = TowerCandidate.build(3, 4, 2593, H_MINUS_81)
 CASE_P5 = TowerCandidate.build(5, 3, 20602801, H_MINUS_125)
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
 
 class TestTowerCandidate:
     def test_build_derives_fields(self):
@@ -35,6 +40,34 @@ class TestTowerCandidate:
         assert CASE_P3.f == 648
         assert CASE_P5.f == 10301400
         assert (CASE_P5.h - 1) % CASE_P5.f == 0
+
+    def test_build_takes_f_from_h_minus_1_without_factoring_h(self, monkeypatch):
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        factored = []
+
+        def recorded(n, **kwargs):
+            factored.append(n)
+            return factorize(n, **kwargs)
+
+        rows = 0
+        for conductor, candidates in reference["candidates"].items():
+            entry = reference["hminus"][conductor]
+            h_minus = FactoredInteger(entry["value"], tuple(map(tuple, entry["factors"])))
+            for row in candidates:
+                factored.clear()
+                monkeypatch.setattr(arith, "factorize", recorded)
+                candidate = TowerCandidate.build(entry["p"], entry["m"], row["h"], h_minus)
+                monkeypatch.undo()
+                assert row["h"] not in factored and row["h"] - 1 in factored, row
+                assert candidate.f == row["f"] == mult_order(entry["p"], row["h"]), row
+                rows += 1
+        assert rows == 140
+
+    def test_build_refuses_a_p_that_h_divides(self):
+        with pytest.raises(ValueError, match="h = p has no multiplicative order f"):
+            TowerCandidate.build(37, 1, 37, factorize(37))
+        with pytest.raises(ValueError, match="74 is not a unit mod 37"):
+            TowerCandidate.build(74, 1, 37, factorize(37))
 
     def test_build_rejects_bad_degree(self):
         with pytest.raises(ValueError):
