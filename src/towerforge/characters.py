@@ -39,9 +39,10 @@ recomputed from scratch two independent ways, both in integers only:
   Q(zeta_d) > Q(zeta_{d/p}) > ... to the squarefree level rad(d), with W held
   mod x^(d/2) + 1 (even d) or x^d - 1 (odd d), never mod Phi_d. The norm is
   every r-th coefficient of the product of the conjugates x -> x^(1 + k d/r),
-  r^2 | d. For p = 2 that ends at Q and is exact. Otherwise,
-  modulo certified primes l = 1 (mod rad(d)), it takes the values at all
-  primitive rad(d)-th roots of unity from one chirp-z correlation (a single
+  r^2 | d. For p = 2 that ends at Q and is exact. Otherwise let m be the odd
+  part of rad(d); when rad(d) = 2m it replaces f(x) by f(-x), once per orbit.
+  Then, modulo certified primes l = 1 (mod m), it takes the values at all
+  primitive m-th roots of unity from one chirp-z correlation (a single
   packed big-integer product per prime) and recombines the residues of their
   product by CRT until the modulus exceeds twice the Parseval/AM-GM bound
   (d sum w_i^2 / phi(d))^{phi(d)/2} of the original W, since the norm is the
@@ -85,7 +86,6 @@ recomputed from scratch two independent ways, both in integers only:
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import NamedTuple
 
 from .arith import FactoredInteger, _least_witness, admit_conductor, conductor_label, euler_phi, factorize
 from .cyclotomic import integer_det, primitive_root_product
@@ -185,16 +185,7 @@ def hminus_determinant(p: int, m: int, *, bound: int = 512) -> int:
     return _positive_quotient(q, abs(det), 2 * q, "determinant")
 
 
-class RelClassNumber(NamedTuple):
-    """A recomputed relative class number, with the method that produced it."""
-
-    conductor: int
-    value: FactoredInteger
-    method: str
-
-
-def relative_class_number(p: int, m: int) -> RelClassNumber:
+def relative_class_number(p: int, m: int) -> FactoredInteger:
     """h^- by the product formula, factored (through its orbit norms) for candidate selection."""
     norms = orbit_norms(p, m)
-    value = factorize(_hminus_of_norms(p, m, norms), norms=norms)
-    return RelClassNumber(p**m, value, "product-formula")
+    return factorize(_hminus_of_norms(p, m, norms), norms=norms)

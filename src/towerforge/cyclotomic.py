@@ -16,10 +16,10 @@ into one int, under Hadamard's bound or a tighter one the caller proves.
 held mod x^(d/2) + 1 (even d) or x^d - 1 (odd d), never mod Phi_d. It
 descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in exact integers, one
 relative norm per repeated prime factor r, down to rad(d) (the field-norm
-descent of Pornin and Prest, PKC 2019). There, it takes the values mod l at
-all primitive rad(d)-th roots of unity from one cyclic correlation, a
-chirp-z transform (Bluestein, 1970), under a Parseval/AM-GM bound proved for
-the original W; at rad(d) <= 2 the descent alone is exact.
+descent of Pornin and Prest, PKC 2019); at rad(d) <= 2 that is exact.
+Otherwise it takes f(-x) for an even rad(d) = 2m and the values mod l at
+all primitive m-th roots (m = rad(d) when odd) from one cyclic correlation,
+a chirp-z transform (Bluestein, 1970), under a bound proved for the original W.
 Neither kernel uses anything but integers.
 """
 
@@ -254,17 +254,13 @@ def _relative_norm(f: list, d: int, r: int) -> list:
     return norm[::r]
 
 
-def _unit_values_product(f: list, d: int, ell: int) -> int:
-    """prod f(zeta_d^j) over j in (Z/d)^*, mod a prime l = 1 (mod d) from ``_crt_primes(d)``.
+def _unit_values_product(f: list, m: int, primes: list[int], ell: int) -> int:
+    """prod f(zeta_m^j) over j in (Z/m)^*, mod a prime l = 1 (mod m) from ``_crt_primes``.
 
-    d is squarefree and at least 3, and f is folded mod B_d (``_fold``).
-    Let m = d for odd d. For d = 2m, m is odd, so if omega has exact order m
-    then -omega has exact order d, the elements of order d are the -omega^j
-    with j in (Z/m)^*, and f(-x) is evaluated at the omega^j instead: f mod
-    x^m + 1 with its odd terms negated, which is f(-x) mod x^m - 1. omega of
-    exact order m mod l is found on each call, from the least g with no
-    g^((l-1)/r) = 1 for a prime r | m (``_least_witness``). The m values
-    f(omega^j) come from one cyclic correlation (chirp-z, Bluestein 1970), by
+    m is odd, squarefree and at least 3 with prime factors ``primes``, and f
+    is folded mod x^m - 1. omega of exact order m mod l is found on each call
+    (``_least_witness``). The m values f(omega^j) come from one cyclic
+    correlation (chirp-z, Bluestein 1970), by
     i j = C(i + j, 2) - C(i, 2) - C(j, 2) with C(k, 2) = k (k - 1)/2, which
     needs no square root of omega:
     f(omega^j) = omega^(-C(j, 2)) sum_i a_i b_(i + j) with
@@ -275,10 +271,7 @@ def _unit_values_product(f: list, d: int, ell: int) -> int:
     reversed by b, folded mod x^m - 1, read at the units j only. Both chirps
     are read off one table of the powers of omega.
     """
-    m = d // 2 if d % 2 == 0 else d
-    if m < d:  # f(-x)
-        f = [-c if i & 1 else c for i, c in enumerate(f)]
-    g = _least_witness(ell, ell - 1, factorize(m).primes)
+    g = _least_witness(ell, ell - 1, primes)
     omega = pow(g, (ell - 1) // m, ell)
     powers = [1] * m
     for e in range(1, m):
@@ -313,14 +306,19 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     and d ends at its radical. If that is 1 or 2, B_d = x - 1 or x + 1 and
     the one coefficient left is N: no prime is needed.
 
-    Residues. Otherwise take a prime l = 1 (mod d) and omega in F_l of exact
-    order d. omega is a root of x^d - 1 = prod_{e | d} Phi_e, hence of some
-    Phi_e with e | d; omega^e = 1 forces e = d, so zeta_d -> omega is a ring
-    map Z[zeta_d] -> F_l. N = prod_j f(zeta_d^j) holds in Z[zeta_d], so
+    Odd radical. For d = 2m, m is odd, so -zeta_m^j has exact order d for j
+    in (Z/m)^*: these are the phi(d) primitive d-th roots, and N is
+    prod_j g(zeta_m^j) for g(x) = f(-x). As (-x)^m = -x^m, f mod x^m + 1 with
+    its odd terms negated is g mod x^m - 1 = B_m; f becomes g. For odd d, m = d.
+
+    Residues. Take a prime l = 1 (mod d) and omega in F_l of exact order m.
+    omega is a root of x^m - 1 = prod_{e | m} Phi_e, hence of some Phi_e with
+    e | m; omega^e = 1 forces e = m, so zeta_m -> omega is a ring map
+    Z[zeta_m] -> F_l. N = prod_j f(zeta_m^j) holds in Z[zeta_m], so
     N = prod_j f(omega^j) (mod l). ``_unit_values_product`` takes all these
     values from one correlation, a single ``_poly_mul`` of two residue lists
-    of length at most d (d/2 for even d), where one dot product per unit
-    would cost phi(d) len(f) products per prime. Every l lies below the
+    of length at most m, where one dot product per unit would cost
+    phi(m) len(f) products per prime. Every l lies below the
     deterministic Miller-Rabin bound and is proven prime by ``pocklington_prime``.
 
     Bound. It is proved for the original d and w_0..w_{d-1}, since N is the same
@@ -349,6 +347,10 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
             d //= r
     if d <= 2:
         return f[0]
+    m = d // 2 if d % 2 == 0 else d
+    if m < d:  # f(-x), at the primitive m-th roots
+        f = [-c if i & 1 else c for i, c in enumerate(f)]
+    odd = [r for r, _ in factors if r > 2]
     return _crt_reconstruct(
-        lambda ell: _unit_values_product(f, d, ell), _crt_primes(d), limit, phi**phi
+        lambda ell: _unit_values_product(f, m, odd, ell), _crt_primes(d), limit, phi**phi
     )

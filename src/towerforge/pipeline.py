@@ -96,6 +96,8 @@ class HminusCache:
     error. A torn line is the trailing line, or a line that opens a JSON
     object and does not decode: ``store`` starts a fresh line after a torn
     tail, so the remains of a crashed append never swallow a new entry.
+    Stores hold an exclusive POSIX advisory lock (``fcntl.flock``) from the
+    tail check through the write, so none sees another's line half written.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -105,7 +107,8 @@ class HminusCache:
 
     def load(self) -> dict[int, CacheEntry]:
         try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
+            # records end in "\n" only; str.splitlines also breaks at \f, U+2028, ...
+            lines = self.path.read_bytes().decode("utf-8").removesuffix("\n").split("\n")
         except FileNotFoundError:
             return {}
         except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
@@ -131,10 +134,13 @@ class HminusCache:
         return self.load().get(conductor)
 
     def store(self, entry: CacheEntry) -> None:
+        import fcntl  # POSIX only; imported here, as pathlib is
+
         _check_cacheable(entry.conductor, entry.h_minus.factors)
         line = entry.to_json_line().encode("utf-8") + b"\n"
         try:
             with self.path.open("a+b") as handle:
+                fcntl.flock(handle, fcntl.LOCK_EX)  # closing flushes the line, then unlocks
                 size = handle.seek(0, os.SEEK_END)
                 if size:
                     handle.seek(size - 1)
@@ -165,7 +171,7 @@ def cached_relative_class_number(
     entry = cache.lookup(conductor) if cache is not None else None
     if entry is not None and not verify:
         return entry.h_minus
-    fresh = relative_class_number(p, m).value
+    fresh = relative_class_number(p, m)
     if entry is not None and entry.h_minus != fresh:
         raise CacheMismatchError(
             f"conductor {conductor}: cached {entry.h_minus.value} = {entry.h_minus}, "

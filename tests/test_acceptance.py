@@ -45,16 +45,16 @@ def primes_below(n):
 def test_criterion_1_relative_class_numbers():
     with criterion("1: recomputed relative class numbers", 120):
         rcn_128 = relative_class_number(2, 7)
-        assert rcn_128.value.value == 359057
-        assert rcn_128.value.factors == ((17, 1), (21121, 1))
+        assert rcn_128.value == 359057
+        assert rcn_128.factors == ((17, 1), (21121, 1))
 
         rcn_81 = relative_class_number(3, 4)
-        assert rcn_81.value.value == 2593
-        assert rcn_81.value.factors == ((2593, 1),)
+        assert rcn_81.value == 2593
+        assert rcn_81.factors == ((2593, 1),)
 
         rcn_125 = relative_class_number(5, 3)
-        assert rcn_125.value.value == 2801 * 20602801
-        assert rcn_125.value.factors == ((2801, 1), (20602801, 1))
+        assert rcn_125.value == 2801 * 20602801
+        assert rcn_125.factors == ((2801, 1), (20602801, 1))
 
 
 def test_criterion_2_multiplicative_orders():

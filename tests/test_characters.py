@@ -14,7 +14,7 @@ from cyclo_reference import CycloElement, bareiss_det, characters, gen_bernoulli
 from test_cli import _cap_address_space, cli_env
 
 from towerforge import arith
-from towerforge.arith import euler_phi, factorize, is_prime
+from towerforge.arith import FactoredInteger, euler_phi, factorize, is_prime
 from towerforge.characters import (
     _bordered_system,
     _orbit_vector,
@@ -180,18 +180,17 @@ def _twist(element, t):
 class TestRelativeClassNumbers:
     def test_conductor_128(self):
         rcn = relative_class_number(2, 7)
-        assert rcn.value.value == 359057
-        assert rcn.value.factors == ((17, 1), (21121, 1))
-        assert rcn.method == "product-formula"
+        assert rcn.value == 359057
+        assert rcn.factors == ((17, 1), (21121, 1))
 
     def test_conductor_81(self):
         rcn = relative_class_number(3, 4)
-        assert rcn.value.value == 2593
-        assert rcn.value.factors == ((2593, 1),)
+        assert rcn.value == 2593
+        assert rcn.factors == ((2593, 1),)
 
     def test_conductor_125(self):
         rcn = relative_class_number(5, 3)
-        assert rcn.value.factors == ((2801, 1), (20602801, 1))
+        assert rcn.factors == ((2801, 1), (20602801, 1))
 
     def test_conductor_4(self):
         assert hminus_product(2, 2) == 1
@@ -215,6 +214,16 @@ class TestLargeConductors:
             entry = reference[str(q)]
             assert entry["p"] ** entry["m"] == q
             assert hminus_product(entry["p"], entry["m"]) == entry["value"], q
+
+    def test_relative_class_number_is_the_factored_reference_value(self):
+        # every conductor the package factors in that file, read only
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hminus"]
+        factored = [entry for entry in reference.values() if entry["factored_by_package"]]
+        assert len(factored) == 53
+        for entry in factored:
+            expected = FactoredInteger(entry["value"], tuple(map(tuple, entry["factors"])))
+            h_minus = relative_class_number(entry["p"], entry["m"])
+            assert type(h_minus) is FactoredInteger and h_minus == expected, entry
 
     def test_oracle_matches_the_benchmark_reference(self):
         reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["hminus"]
@@ -353,7 +362,7 @@ class TestFactoringByOrbitNorms:
         monkeypatch.setattr(arith, "_pollard_brent", no_rho)
         factors = ((17, 1), (21121, 1), (29102880226241, 1))
         assert factorize(hminus_product(2, 8), norms=norms).factors == factors
-        assert relative_class_number(2, 8).value.factors == factors
+        assert relative_class_number(2, 8).factors == factors
         # without the norms, rho is handed the product of the two large primes
         with pytest.raises(AssertionError, match=f"rho called on {21121 * 29102880226241}$"):
             factorize(hminus_product(2, 8))
@@ -367,7 +376,7 @@ class TestFactoringByOrbitNorms:
             return rho(m, c, budget, e)
 
         monkeypatch.setattr(arith, "_pollard_brent", recorded)
-        assert str(relative_class_number(3, 5).value) == "2593 * 6252002011 * 922099242709"
+        assert str(relative_class_number(3, 5)) == "2593 * 6252002011 * 922099242709"
         assert calls == [(6252002011 * 922099242709, 1, 324)]
 
     def test_every_conductor_up_to_256_factors_as_without_norms(self):
@@ -383,7 +392,7 @@ class TestFactoringByOrbitNorms:
                 with pytest.raises(FactorizationError, match=f"^{exc}$"):
                     relative_class_number(p, m)
             else:
-                assert relative_class_number(p, m).value == expected, p**m
+                assert relative_class_number(p, m) == expected, p**m
         # the primality bound refuses the same cofactors with norms as without
         assert refused == [163, 167, 173, 179, 191, 193, 197, 199, 223, 227, 229, 233, 239, 241, 251]
 

@@ -1,6 +1,7 @@
 """Cyclotomic polynomials, both integer kernels, and the reference field arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -330,15 +331,34 @@ class TestPrimitiveRootProduct:
     def test_chirp_residues_equal_the_dot_products(self, d):
         # the radicals of the orbits of order p - 1 at p = 683, 1019, 2027;
         # f of phi(d) terms and of d terms, as W folded mod x^d - 1 has, each
-        # handed over folded mod B_d = x^(d/2) + 1 by the kernel's own fold
-        # and compared with the dot products on f itself, which checks the
-        # fold too
+        # folded mod B_d = x^m + 1, m = d/2, by the kernel's own fold, then
+        # handed over as f(-x) mod x^m - 1 at the odd m and compared with the
+        # dot products on f itself at d, which checks the fold and the sign
+        m = d // 2
+        primes = list(factorize(m).primes)
         rng = random.Random(d)
         reduced = [rng.randrange(-(10**30), 10**30) for _ in range(euler_phi(d))]
         folded = [rng.randrange(-(10**6), 10**6) for _ in range(d)]
         for ell in islice(_crt_primes(d), 3):
             for f in (reduced, folded, [0, 1], [7]):
-                assert _unit_values_product(_fold(f, d), d, ell) == unit_values_product(f, d, ell)
+                g = [-c if i & 1 else c for i, c in enumerate(_fold(f, d))]
+                assert _unit_values_product(g, m, primes, ell) == unit_values_product(f, d, ell)
+
+    def test_one_factorize_per_call_and_none_in_the_kernel(self, monkeypatch):
+        # d = 1, 2, powers of two, odd and even radicals, and a descent to each
+        callers = []
+
+        def recorded(n, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return factorize(n, *args, **kwargs)
+
+        monkeypatch.setattr(cyclotomic, "factorize", recorded)
+        ds = (1, 2, 8, 15, 30, 42, 45, 98, 105)
+        rng = random.Random(67)
+        for d in ds:
+            w = [rng.randrange(-9, 10) for _ in range(d + 1)]
+            assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w), d
+        assert callers == ["primitive_root_product"] * len(ds)
 
     def test_never_builds_or_divides_by_phi_d(self):
         assert not hasattr(cyclotomic, "cyclo_poly")

@@ -69,6 +69,24 @@ class TestCache:
         with pytest.raises(ValueError):
             cache.load()
 
+    def test_a_form_feed_does_not_split_a_line(self, cache):
+        # records end in "\n" only; str.splitlines also breaks at \f, so line 2
+        # was named malformed for the remains of line 1
+        entries = [
+            CacheEntry(128, factorize(359057), "t0", "product-formula"),
+            CacheEntry(125, factorize(57708445601), "t1", "product-formula"),
+        ]
+        torn = '{"conductor": 81,\f"h_minus": [[25'
+        cache.path.write_text("\n".join([torn, *(e.to_json_line() for e in entries)]) + "\n")
+        assert cache.load() == {128: entries[0], 125: entries[1]}
+
+    @pytest.mark.parametrize("line", ["\fnot an entry", "\u2028[1]", "\x1c{}"])
+    def test_a_line_holding_a_line_break_of_str_is_named_as_one(self, cache, line):
+        valid = CacheEntry(4, factorize(1), "t", "product-formula").to_json_line()
+        cache.path.write_text(f"{line}\n{valid}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^malformed cache line 1 in"):
+            cache.load()
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -9,7 +9,6 @@ import pytest
 from test_cli import cli_env
 
 from towerforge.arith import FactoredInteger, factorize
-from towerforge.characters import RelClassNumber
 from towerforge.criteria import TowerCandidate, verify_candidate
 from towerforge.local import KummerClass
 from towerforge.pipeline import CacheEntry, SearchResult, TableRow, _now
@@ -21,7 +20,6 @@ def _records():
     report = verify_candidate(TowerCandidate.build(2, 7, 21121, h_minus))
     return [
         h_minus,
-        RelClassNumber(128, h_minus, "product-formula"),
         report.candidate,
         report.cond_i,
         report.cond_ii,
@@ -40,8 +38,8 @@ RECORDS = _records()
 by_name = pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 
 
-def test_thirteen_distinct_records():
-    assert len({type(record) for record in RECORDS}) == 13
+def test_twelve_distinct_records():
+    assert len({type(record) for record in RECORDS}) == 12
 
 
 class TestRecordContract:
