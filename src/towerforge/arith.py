@@ -50,17 +50,20 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 3.3e24.
 
     Up to the trial bound the answer is a lookup in the sieve of Eratosthenes.
-    Above it, after trial division by the 13 base primes, Miller-Rabin runs on
-    the first k of them, k the least index with n < psi_k (``_MR_PSI``). An odd
-    composite below psi_k fails one of the first k bases, so True is a proof.
+    Above it, Miller-Rabin runs on the first k base primes, k the least index
+    with n < psi_k (``_MR_PSI``). An odd composite below psi_k fails one of the
+    first k bases, so True is a proof.
+
+    No trial division by the bases comes first: Miller-Rabin rejects every n
+    it would. An even n fails base 2, since s = 0 and 2^(n-1) mod n is even,
+    so neither 1 nor n - 1. If a base b divides n, every x of b's round is
+    0 mod b while 1 and n - 1 are not, so that round fails; and an odd n is
+    an odd composite below psi_k, which one of the first k bases rejects.
     """
     if n >= _MR_BOUND:
         raise ValueError(f"{n} exceeds the deterministic certification bound {_MR_BOUND}")
     if n <= _TRIAL_BOUND:
         return n >= 2 and _trial_sieve()[n] == 1
-    for p in _MR_BASES:
-        if n % p == 0:
-            return False
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -270,8 +273,6 @@ def factorize(
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if m >= _MR_BOUND:
             try:
                 name = str(m)

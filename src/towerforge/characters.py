@@ -115,7 +115,7 @@ def _orbit_vector(p: int, m: int, q: int) -> tuple[list[int], list[int]]:
         n, g = q // 4, 5
         orders = [n >> j for j in range(m - 1)]
     else:
-        n = euler_phi(q)
+        n = q - q // p  # phi(q)
         g = _least_witness(q, n, factorize(n).primes)
         orders = [n // k for k in range(1, n, 2) if n % k == 0]
     vector = [1] * n
@@ -130,7 +130,7 @@ def orbit_norms(p: int, m: int) -> list[tuple[int, int]]:
     """[(d, Res(Phi_d, W))], one pair per Galois orbit of odd characters of conductor p^m."""
     q = admit_conductor(p, m)
     vector, orders = _orbit_vector(p, m, q)
-    assert sum(map(euler_phi, orders)) == euler_phi(q) // 2
+    assert sum(map(euler_phi, orders)) == (q - q // p) // 2
     return [(d, primitive_root_product(d, vector)) for d in orders]
 
 

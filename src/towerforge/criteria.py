@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import FactoredInteger, _order_dividing, euler_phi, is_prime, mult_order
+from .arith import FactoredInteger, _order_dividing, check_exponent, is_prime, mult_order
 from .bernoulli import is_regular_prime
 
 if TYPE_CHECKING:
@@ -23,7 +23,8 @@ if TYPE_CHECKING:
 class TowerCandidate(NamedTuple):
     """(p, m, h) with the derived quantities used by both conditions.
 
-    f is the multiplicative order of p mod h; phi_pm = phi(p^m).
+    f is the multiplicative order of p mod h; phi_pm = phi(p^m) = p^m - p^(m-1),
+    read off p and m once ``check_exponent`` has admitted p as prime and m >= 1.
     """
 
     p: int
@@ -43,9 +44,10 @@ class TowerCandidate(NamedTuple):
             raise ValueError("h = p has no multiplicative order f")
         if p % h == 0:
             raise ValueError(f"{p} is not a unit mod {h}")
+        check_exponent(p, m)
         # h is proven prime, so p^(h - 1) = 1 (mod h): f is the least divisor
         # of h - 1 that works, found without factoring h
-        return cls(p, m, h, _order_dividing(p, h, h - 1), euler_phi(p**m), h_minus)
+        return cls(p, m, h, _order_dividing(p, h, h - 1), p**m - p ** (m - 1), h_minus)
 
 
 class ConditionIVerdict(NamedTuple):
@@ -80,8 +82,8 @@ def check_condition_I(c: TowerCandidate, regular: bool) -> ConditionIVerdict:
 
 
 def check_condition_II(c: TowerCandidate) -> ConditionIIVerdict:
-    """h >= 2 phi(p^{m+1}) + 4."""
-    bound = 2 * euler_phi(c.p ** (c.m + 1)) + 4
+    """h >= 2 phi(p^{m+1}) + 4, with phi(p^{m+1}) = (p - 1) p^m."""
+    bound = 2 * (c.p - 1) * c.p**c.m + 4
     return ConditionIIVerdict(c.h >= bound, bound)
 
 

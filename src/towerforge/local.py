@@ -290,15 +290,11 @@ def pi_valuation(element: LocalCycloElement) -> int | AtCap:
     return best
 
 
-def _pi_cofactor(p: int, m: int, precision: int) -> LocalCycloElement:
-    """The element b with pi * b = p (closed form in ``_LocalRing``)."""
-    return LocalCycloElement(p, m, precision, _local_ring(p, m).cofactor)
-
-
 def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
     """Exact division by pi^t for an element of valuation >= t.
 
-    Costs t units of p-adic precision: multiply by the cofactor (p/pi)^t, then
+    Costs t units of p-adic precision: multiply by the cofactor (p/pi)^t, whose
+    closed form the element's own ring holds (``_LocalRing.cofactor``), then
     strip the known factor p^t from every coefficient.
     """
     if t < 0:
@@ -310,8 +306,7 @@ def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
     v = pi_valuation(element)
     if v is AT_CAP or v < t:
         raise ValueError(f"valuation {v} is below {t}; division is not exact")
-    cofactor = _pi_cofactor(element.p, element.m, element.precision)
-    scaled = element * cofactor**t
+    scaled = element * element._like(element.ring.cofactor) ** t
     pt = element.p**t
     assert all(c % pt == 0 for c in scaled.coeffs)
     return LocalCycloElement(

@@ -1,8 +1,9 @@
 """Reference oracles for is_prime, factorize, mult_order and rho.
 
 The package answers is_prime for n up to the trial bound from a sieve, and
-above it runs only the Miller-Rabin bases n's size needs; ``miller_rabin`` is
-the earlier test that ran the 13 bases on every n (or the bases it is given).
+above it runs only the Miller-Rabin bases n's size needs, with no trial
+division first; ``miller_rabin`` is the earlier test, which divided n by the
+13 bases and then ran all 13 on every n (or the bases it is given).
 
 ``strip_mult_order`` is the earlier mult_order: from phi(n) it strips each
 prime while the congruence survives, one full-size exponentiation per step.

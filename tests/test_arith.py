@@ -140,6 +140,22 @@ class TestMillerRabinBases:
         for n in numbers:
             assert is_prime(n) == miller_rabin(n), n
 
+    def test_no_trial_division_before_miller_rabin_is_needed(self):
+        # the reference divides by the 13 bases before its Miller-Rabin rounds
+        rng = random.Random(24)
+
+        def multiples(d, low, high):
+            return [d * rng.randrange(-(-low // d), high // d) for _ in range(100)]
+
+        numbers = []
+        for _, low, high in psi_bands():
+            numbers += multiples(2, low, high)
+            for b in _MR_BASES:
+                numbers += multiples(b, low, high) + multiples(b * b, low, high)
+        assert min(numbers) > arith._TRIAL_BOUND and len(numbers) == 9 * 27 * 100
+        for n in numbers + list(_MR_PSI[:-1]):
+            assert is_prime(n) == miller_rabin(n), n
+
     def test_a_prime_in_band_k_runs_k_bases(self, monkeypatch):
         bases = []
 

@@ -348,6 +348,20 @@ class TestOrbitGroupingInvariance:
             assert product.rational_value() * w == hminus_product(p, m)
 
 
+class TestOrbitNormsTotients:
+    @pytest.mark.parametrize("p, m", [(2, 6), (3, 4), (5, 2), (7, 2)])
+    def test_euler_phi_runs_once_per_orbit_order(self, monkeypatch, p, m):
+        calls = []
+
+        def recorded(n):
+            calls.append(n)
+            return euler_phi(n)
+
+        monkeypatch.setattr("towerforge.characters.euler_phi", recorded)
+        norms = orbit_norms(p, m)
+        assert sorted(calls) == sorted(d for d, _ in norms), (p, m)
+
+
 class TestFactoringByOrbitNorms:
     """relative_class_number hands h^-'s orbit norms to factorize."""
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from towerforge import arith
-from towerforge.arith import FactoredInteger, factorize, mult_order
+from towerforge.arith import FactoredInteger, euler_phi, factorize, mult_order
 from towerforge.criteria import (
     Conclusion,
     TowerCandidate,
@@ -58,7 +58,7 @@ class TestTowerCandidate:
                 monkeypatch.setattr(arith, "factorize", recorded)
                 candidate = TowerCandidate.build(entry["p"], entry["m"], row["h"], h_minus)
                 monkeypatch.undo()
-                assert row["h"] not in factored and row["h"] - 1 in factored, row
+                assert factored == [row["h"] - 1], row
                 assert candidate.f == row["f"] == mult_order(entry["p"], row["h"]), row
                 rows += 1
         assert rows == 140
@@ -68,6 +68,20 @@ class TestTowerCandidate:
             TowerCandidate.build(37, 1, 37, factorize(37))
         with pytest.raises(ValueError, match="74 is not a unit mod 37"):
             TowerCandidate.build(74, 1, 37, factorize(37))
+        with pytest.raises(ValueError, match="4 is not prime"):
+            TowerCandidate.build(4, 2, 3, factorize(3))
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            TowerCandidate.build(2, 0, 3, factorize(3))
+
+    def test_totients_in_closed_form_equal_euler_phi(self):
+        # 101 is prime and above every p here, so it is a unit mod each of them
+        for p in (n for n in range(2, 100) if arith.is_prime(n)):
+            m = 1
+            while p**m <= 2**12:
+                candidate = TowerCandidate.build(p, m, 101, factorize(101))
+                assert candidate.phi_pm == euler_phi(p**m), (p, m)
+                assert check_condition_II(candidate).bound == 2 * euler_phi(p ** (m + 1)) + 4, (p, m)
+                m += 1
 
     def test_build_rejects_bad_degree(self):
         with pytest.raises(ValueError):
