@@ -17,7 +17,7 @@ Pocklington's N - 1 criterion.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cache
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -317,24 +317,36 @@ def euler_phi(n: int) -> int:
 
 
 def mult_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 mod n: ``_order_dividing`` on phi(n)."""
+    """Least k >= 1 with a^k = 1 mod n: ``_order_dividing`` on phi(n).
+
+    phi(n) = prod p^(e-1) (p - 1) over the p^e exactly dividing n, so its primes,
+    those of each p - 1 and each p with e >= 2, come without factoring phi(n).
+    """
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    return _order_dividing(a, n, euler_phi(n))
+    phi = 1
+    primes: set[int] = set()
+    for p, e in factorize(n).factors:
+        phi *= p ** (e - 1) * (p - 1)
+        primes.update(factorize(p - 1).primes)
+        if e > 1:
+            primes.add(p)
+    return _order_dividing(a, n, phi, primes)
 
 
-def _order_dividing(a: int, n: int, t: int) -> int:
-    """Least k | t with a^k = 1 mod n, given a^t = 1 mod n.
+def _order_dividing(a: int, n: int, t: int, primes: Iterable[int]) -> int:
+    """Least k | t with a^k = 1 mod n, given a^t = 1 mod n and primes holding every prime of t.
 
     For each prime power r^e exactly dividing t: drop it from t, then climb
     y = a^t, y^r, y^(r^2), ... until y = 1, putting back one r per step. That
     is one full-size exponentiation per prime of t. The order k divides t
     throughout, so with r removed a^(t r^j) = 1 exactly when r^j holds the
-    r-part of k, and t ends at k.
+    r-part of k, and t ends at k. A listed r that does not divide t leaves t
+    as it is.
     """
-    for r in factorize(t).primes:
+    for r in primes:
         while t % r == 0:
             t //= r
         y = pow(a, t, n)

@@ -7,36 +7,28 @@ BudgetExceededError exits 3. ``regular`` refuses a p that is not prime (exit
 2), then a prime p above its --budget (exit 3), before any tangent number.
 The h^- cache path defaults to ./hminus-cache.jsonl and can be overridden via
 the TOWERFORGE_CACHE environment variable.
+
+Each subcommand imports the package modules it runs when it runs, so a
+process compiles only what its one command uses: ``order`` loads ``arith``
+alone, ``regular`` adds ``bernoulli``, and only ``kappa`` loads ``local``.
+Module top keeps ``argparse``, which every run needs, and ``errors``, whose
+classes ``main`` catches. The imports read the modules' current attributes,
+so a function rebound on its module is the one each command calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
 
-from .arith import admit_conductor, is_prime, mult_order
-from .bernoulli import is_regular_prime
-from .characters import hminus_determinant
-from .criteria import Conclusion, TowerCandidate, verify_candidate
 from .errors import (
     BudgetExceededError,
     CacheMismatchError,
     CofactorError,
     PrecisionError,
     TowerforgeError,
-)
-from .local import LocalCycloElement, check_kappa_domain, kappa, kappa_precision
-from .pipeline import (
-    DEFAULT_CACHE_NAME,
-    HminusCache,
-    TableRow,
-    cached_relative_class_number,
-    emit_report,
-    reproduce_table,
-    search_candidates,
 )
 
 EXIT_OK = 0
@@ -45,11 +37,17 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _cache_from_env() -> HminusCache:
+def _cache_from_env():
+    from .pipeline import DEFAULT_CACHE_NAME, HminusCache
+
     return HminusCache(os.environ.get("TOWERFORGE_CACHE", DEFAULT_CACHE_NAME))
 
 
 def _cmd_hminus(args) -> int:
+    from .arith import admit_conductor
+    from .characters import hminus_determinant
+    from .pipeline import cached_relative_class_number
+
     conductor = admit_conductor(args.p, args.m, args.budget)
     value = cached_relative_class_number(
         args.p, args.m, _cache_from_env(), verify=args.verify_cache
@@ -69,11 +67,16 @@ def _cmd_hminus(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .arith import mult_order
+
     print(mult_order(args.base, args.mod))
     return EXIT_OK
 
 
 def _cmd_regular(args) -> int:
+    from .arith import is_prime
+    from .bernoulli import is_regular_prime
+
     if not is_prime(args.p):
         raise ValueError(f"{args.p} is not prime")
     if args.p > args.budget:
@@ -84,12 +87,18 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .arith import admit_conductor
+    from .criteria import Conclusion, TowerCandidate, verify_candidate
+    from .pipeline import TableRow, cached_relative_class_number, emit_report
+
     admit_conductor(args.p, args.m, args.budget)
     h_minus = cached_relative_class_number(args.p, args.m, _cache_from_env())
     candidate = TowerCandidate.build(args.p, args.m, args.h, h_minus)
     report = verify_candidate(candidate)
     row = TableRow.from_report(report)
     if args.json:
+        import json
+
         payload = dict(row.as_dict(), regular=report.regular_p)
         print(json.dumps(payload, indent=2))
     else:
@@ -98,6 +107,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
+    from .local import LocalCycloElement, check_kappa_domain, kappa, kappa_precision
+
     try:
         coeffs = [int(part) for part in args.elem.split(",")]
     except ValueError:
@@ -109,6 +120,9 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
+    from .criteria import Conclusion
+    from .pipeline import emit_report, reproduce_table
+
     rows = reproduce_table(_cache_from_env())
     print(emit_report(rows, args.format), end="" if args.format != "json" else "\n")
     all_pass = all(row.conclusion == Conclusion.BOTH.value for row in rows)
@@ -116,6 +130,8 @@ def _cmd_reproduce_table(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .pipeline import TableRow, emit_report, search_candidates
+
     result = search_candidates(
         args.p,
         args.m_from,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import FactoredInteger, _order_dividing, check_exponent, is_prime, mult_order
+from .arith import FactoredInteger, _order_dividing, check_exponent, factorize, is_prime, mult_order
 from .bernoulli import is_regular_prime
 
 if TYPE_CHECKING:
@@ -47,7 +47,8 @@ class TowerCandidate(NamedTuple):
         check_exponent(p, m)
         # h is proven prime, so p^(h - 1) = 1 (mod h): f is the least divisor
         # of h - 1 that works, found without factoring h
-        return cls(p, m, h, _order_dividing(p, h, h - 1), p**m - p ** (m - 1), h_minus)
+        f = _order_dividing(p, h, h - 1, factorize(h - 1).primes)
+        return cls(p, m, h, f, p**m - p ** (m - 1), h_minus)
 
 
 class ConditionIVerdict(NamedTuple):

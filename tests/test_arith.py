@@ -440,11 +440,57 @@ class TestMultOrder:
     def test_ladder_from_any_multiple_of_the_order(self):
         rng = random.Random(21)
         for a, n, k in ((2, 21121, 10560), (3, 2593, 648), (5, 20602801, 10301400)):
-            assert _order_dividing(a, n, n - 1) == k
+            assert _order_dividing(a, n, n - 1, factorize(n - 1).primes) == k
             for _ in range(20):
-                assert _order_dividing(a, n, k * rng.randrange(1, 10**6)) == k
-        assert _order_dividing(1, 7, 1) == 1
-        assert _order_dividing(6, 7, 2) == 2
+                t = k * rng.randrange(1, 10**6)
+                assert _order_dividing(a, n, t, factorize(t).primes) == k
+        assert _order_dividing(1, 7, 1, ()) == 1
+        assert _order_dividing(6, 7, 2, (2,)) == 2
+
+    def test_ladder_takes_the_primes_of_t_in_any_order_and_ignores_extra_ones(self):
+        # 20602800 = 2^4 3^2 5^2 59 97; 7, 11 and 10007 do not divide it
+        primes = factorize(20602800).primes
+        for listed in (primes, primes[::-1], {*primes, 7, 11, 10007}):
+            assert _order_dividing(5, 20602801, 20602800, listed) == 10301400
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 97, 2593, 21121, 20602801, 10**12 + 39, 10**12 + 61])
+    def test_prime_modulus(self, n):
+        rng = random.Random(n)
+        for a in {2, 3, n - 1, *(rng.randrange(2, n) for _ in range(20))}:
+            if a % n:
+                assert mult_order(a, n) == strip_mult_order(a, n), (a, n)
+                if n < 10**4:
+                    assert mult_order(a, n) == brute_order(a, n), (a, n)
+
+    def test_power_of_two_modulus(self):
+        rng = random.Random(2)
+        for k in range(1, 64):
+            n = 2**k
+            for a in {1, 3, 5, n - 1, *(rng.randrange(1, n) | 1 for _ in range(5))}:
+                a %= n
+                if a:
+                    expected = brute_order(a, n) if k <= 12 else strip_mult_order(a, n)
+                    assert mult_order(a, n) == expected, (a, n)
+
+    @pytest.mark.parametrize(
+        "n", [3**5 * 7, 5**3 * 11**2, 2**3 * 7**4 * 13, 3**2 * 2593, 20123**2 * 3, 101**3 * 2**5 * 9]
+    )
+    def test_prime_power_times_cofactor(self, n):
+        # n = p^e r with e >= 2: p itself divides phi(n) and must be laddered
+        rng = random.Random(n)
+        for a in {2, n - 1, *(rng.randrange(2, n) for _ in range(30))}:
+            if gcd(a, n) == 1:
+                expected = brute_order(a, n) if n < 10**5 else strip_mult_order(a, n)
+                assert mult_order(a, n) == expected, (a, n)
+
+    @pytest.mark.parametrize("p, big", [(20123, 10061), (20183, 10091), (6000199, 1000033)])
+    def test_p_minus_1_with_a_prime_above_the_trial_bound(self, p, big):
+        assert is_prime(p) and big > 10**4 and big in factorize(p - 1).primes
+        rng = random.Random(p)
+        for n in (p, p * 3, p * 1000003, p**2 * 5):
+            for a in {2, 3, n - 1, *(rng.randrange(2, n) for _ in range(10))}:
+                if gcd(a, n) == 1:
+                    assert mult_order(a, n) == strip_mult_order(a, n), (a, n)
 
 
 def brute_order(a, n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from towerforge import arith
+from towerforge import arith, criteria
 from towerforge.arith import FactoredInteger, euler_phi, factorize, mult_order
 from towerforge.criteria import (
     Conclusion,
@@ -55,7 +55,8 @@ class TestTowerCandidate:
             h_minus = FactoredInteger(entry["value"], tuple(map(tuple, entry["factors"])))
             for row in candidates:
                 factored.clear()
-                monkeypatch.setattr(arith, "factorize", recorded)
+                for module in (arith, criteria):
+                    monkeypatch.setattr(module, "factorize", recorded)
                 candidate = TowerCandidate.build(entry["p"], entry["m"], row["h"], h_minus)
                 monkeypatch.undo()
                 assert factored == [row["h"] - 1], row

@@ -132,13 +132,8 @@ def test_cache_timestamp_format():
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", _now())
 
 
-@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
-def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
-    # nor rayclass, which no CLI command uses; pathlib (it loads urllib.parse
-    # and ipaddress) is checked under -S only, as site may preload it
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime", "towerforge.rayclass")
-    heavy += ("pathlib",) if flags else ()
-    code = f"import sys, towerforge.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+def _fresh(tmp_path, flags, code):
+    """stdout of ``code`` run in a fresh interpreter with these flags, which must exit 0 silently."""
     result = subprocess.run(
         [sys.executable, *flags, "-c", code],
         capture_output=True,
@@ -146,4 +141,46 @@ def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
         env=cli_env(tmp_path),
         cwd=tmp_path,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
+    # nor rayclass, which no CLI command uses; pathlib (it loads urllib.parse
+    # and ipaddress) is checked under -S only, as site may preload it
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime", "towerforge.rayclass")
+    heavy += ("pathlib",) if flags else ()
+    code = f"import sys, towerforge.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    assert _fresh(tmp_path, flags, code) == "[]\n"
+
+
+LOADED = "{m for m in sys.modules if m.split('.')[0] == 'towerforge'}"
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_cli_import_loads_only_errors_from_the_package(tmp_path, flags):
+    # each subcommand imports its modules when it runs; json and typing are
+    # checked under -S only, as site may preload them
+    code = f"import sys, towerforge.cli; print(sorted({LOADED}))\n"
+    code += "print(sorted({'json', 'typing'} & set(sys.modules)))"
+    package, stdlib = _fresh(tmp_path, flags, code).splitlines()
+    assert package == "['towerforge', 'towerforge.cli', 'towerforge.errors']"
+    assert stdlib == "[]" or not flags
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_each_subcommand_adds_only_the_modules_it_runs(tmp_path, flags):
+    code = (
+        "import contextlib, io, sys\n"
+        "from towerforge.cli import main\n"
+        "def loaded():\n"
+        f"    return {LOADED}\n"
+        "seen = loaded()\n"
+        "for argv in (['order', '--base', '3', '--mod', '1000003'], ['regular', '--p', '37']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print(argv[0], sorted(loaded() - seen))\n"
+        "    seen = loaded()\n"
+    )
+    assert _fresh(tmp_path, flags, code) == "order ['towerforge.arith']\nregular ['towerforge.bernoulli']\n"
