@@ -8,10 +8,11 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from test_cli import cli_env
 
 from towerforge import pipeline
 from towerforge.arith import FactoredInteger, factorize, is_prime_power
-from towerforge.criteria import Conclusion
+from towerforge.criteria import Conclusion, TowerCandidate, verify_candidate
 from towerforge.errors import CacheMismatchError
 from towerforge.pipeline import (
     CacheEntry,
@@ -22,6 +23,38 @@ from towerforge.pipeline import (
     reproduce_table,
     search_candidates,
 )
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+_TABLE_ROWS = (
+    (2, 128, 21121, 10560, 108767872, 260),
+    (3, 81, 2593, 648, 137268, 328),
+    (5, 125, 20602801, 10301400, 106114680194200, 1004),
+)
+
+GOLDEN_TABLE_STDOUT = {
+    "text": (
+        b"p  conductor         h         f  cond_I         margin_I  cond_II  bound_II          conclusion\n"
+        b"2        128     21121     10560    pass        108767872     pass       260  both-branches-pass\n"
+        b"3         81      2593       648    pass           137268     pass       328  both-branches-pass\n"
+        b"5        125  20602801  10301400    pass  106114680194200     pass      1004  both-branches-pass\n"
+    ),
+    "csv": (
+        b"p,conductor,h,f,cond_I,margin_I,cond_II,bound_II,conclusion\n"
+        b"2,128,21121,10560,pass,108767872,pass,260,both-branches-pass\n"
+        b"3,81,2593,648,pass,137268,pass,328,both-branches-pass\n"
+        b"5,125,20602801,10301400,pass,106114680194200,pass,1004,both-branches-pass\n"
+    ),
+    "json": b"[\n"
+    + b",\n".join(
+        b'  {\n    "p": %d,\n    "conductor": %d,\n    "h": %d,\n    "f": %d,\n'
+        b'    "cond_I": true,\n    "margin_I": %d,\n    "cond_II": true,\n    "bound_II": %d,\n'
+        b'    "conclusion": "both-branches-pass"\n  }' % row
+        for row in _TABLE_ROWS
+    )
+    + b"\n]\n",
+}
 
 
 @pytest.fixture
@@ -164,10 +197,9 @@ class TestCache:
         assert cache.path.read_bytes() == before
 
     def test_every_factored_reference_value_loads(self, cache):
-        reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
         entries = {
             int(q): CacheEntry(int(q), FactoredInteger(row["value"], tuple(map(tuple, row["factors"]))), "t", "m")
-            for q, row in json.loads(reference.read_text())["hminus"].items()
+            for q, row in json.loads(REFERENCE.read_text())["hminus"].items()
             if row["factors"] is not None
         }
         assert len(entries) == 59
@@ -253,6 +285,33 @@ class TestReproduceTable:
         cache.store(CacheEntry(128, poisoned, "t", "product-formula"))
         with pytest.raises(CacheMismatchError):
             reproduce_table(cache)
+
+
+class TestGoldenPin:
+    """Every verdict of the reference table, and the CLI's table bytes, pinned as they stand."""
+
+    def test_every_reference_row(self):
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        conclusions = []
+        for conductor, rows in reference["candidates"].items():
+            entry = reference["hminus"][conductor]
+            h_minus = FactoredInteger(entry["value"], tuple(map(tuple, entry["factors"])))
+            for row in rows:
+                candidate = TowerCandidate.build(entry["p"], entry["m"], row["h"], h_minus)
+                assert TableRow.from_report(verify_candidate(candidate)).as_dict() == row
+                conclusions.append(row["conclusion"])
+        assert [conclusions.count(c.value) for c in Conclusion] == [43, 14, 11, 72]
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_TABLE_STDOUT))
+    def test_reproduce_table_stdout_bytes(self, tmp_path, fmt):
+        result = subprocess.run(
+            [sys.executable, "-m", "towerforge.cli", "reproduce-table", "--format", fmt],
+            capture_output=True,
+            env=cli_env(tmp_path),
+            cwd=tmp_path,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == GOLDEN_TABLE_STDOUT[fmt]
 
 
 class TestSearch:
