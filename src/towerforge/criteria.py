@@ -6,6 +6,13 @@ field, with h read off the relative class number. Whether p divides the class
 number of that extension is not computable at this scale, so both sufficient
 conditions are always evaluated and a candidate only counts as verified when
 both branches pass.
+
+Both conditions are one inequality, Golod-Safarevic's h1^2 - 4 h1 >= 4 (r1 + r2),
+taken at two totally complex fields (r1 = 0), and read from one integer slack,
+``_gs_slack``. Condition I takes it at (f, 0, h phi(p^m) / 2): the slack is
+f^2 - 4f - 2 h phi(p^m). Condition II takes it at (h, 0, p phi(p^m) h / 2),
+the degree-p Kummer layer over the degree-h extension: the slack is
+h (h - 4 - 2 p phi(p^m)), whose positive root 2 phi(p^{m+1}) + 4 is bound_II.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import FactoredInteger, _order_dividing, check_exponent, factorize, is_prime, mult_order
+from .arith import FactoredInteger, _order_dividing, check_exponent, factorize, is_prime
 from .bernoulli import is_regular_prime
 
 if TYPE_CHECKING:
@@ -76,74 +83,31 @@ class CriterionReport(NamedTuple):
     conclusion: Conclusion
 
 
+def _gs_slack(h1: int, r1: int, twice_r2: int) -> int:
+    """4 (h1^2/4 - h1 - (r1 + r2)), an integer even where r2 is a half-integer."""
+    return h1 * h1 - 4 * h1 - 4 * r1 - 2 * twice_r2
+
+
 def check_condition_I(c: TowerCandidate, regular: bool) -> ConditionIVerdict:
     """Regularity of p together with f^2 - 4f >= 2 h phi(p^m)."""
-    margin = c.f * c.f - 4 * c.f - 2 * c.h * c.phi_pm
+    margin = _gs_slack(c.f, 0, c.h * c.phi_pm)
     return ConditionIVerdict(regular and margin >= 0, margin)
 
 
 def check_condition_II(c: TowerCandidate) -> ConditionIIVerdict:
-    """h >= 2 phi(p^{m+1}) + 4, with phi(p^{m+1}) = (p - 1) p^m."""
-    bound = 2 * (c.p - 1) * c.p**c.m + 4
-    return ConditionIIVerdict(c.h >= bound, bound)
+    """h (h - 4 - 2 p phi(p^m)) >= 0, that is h >= bound = 2 phi(p^{m+1}) + 4.
 
-
-def gl_order(l: int, p: int) -> int:
-    """|GL_l(F_p)| = (p^l - 1)(p^l - p)...(p^l - p^{l-1})."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    pl = p**l
-    result = 1
-    power = 1
-    for _ in range(l):
-        result *= pl - power
-        power *= p
-    return result
-
-
-def min_rank_l(p: int, h: int) -> int:
-    """Least l with h dividing |GL_l(F_p)|, for distinct primes p and h.
-
-    Divisibility is decided mod h: |GL_l(F_p)| = p^{l(l-1)/2} prod_{j<=l}(p^j - 1),
-    and the p-power part is never divisible by h, so only the running product
-    of the (p^j - 1) matters. The result provably equals mult_order(p, h),
-    which is asserted.
+    bound is the least h > 0 where the slack is >= 0, with phi(p^{m+1}) = p phi(p^m).
     """
-    if not is_prime(p) or not is_prime(h):
-        raise ValueError("p and h must be prime")
-    if p == h:
-        raise ValueError("p and h must be distinct")
-    running = 1
-    pl = 1
-    l = 0
-    while True:
-        l += 1
-        pl = pl * p % h
-        running = running * (pl - 1) % h
-        if running == 0:
-            break
-    assert l == mult_order(p, h)
-    return l
-
-
-def signature_of_L(c: TowerCandidate) -> tuple[int, int]:
-    """Signature (r1, r2) of the degree-p Kummer layer over the extension of degree h.
-
-    The field contains zeta_{p^m} with p^m >= 3, hence is totally complex:
-    r1 = 0 and r2 = p * phi(p^m) * h / 2.
-    """
-    if c.p**c.m <= 2:
-        raise ValueError("conductor must be >= 3 for a totally complex field")
-    twice_r2 = c.p * c.phi_pm * c.h
-    assert twice_r2 % 2 == 0
-    return 0, twice_r2 // 2
+    holds = _gs_slack(c.h, 0, c.p * c.phi_pm * c.h) >= 0
+    return ConditionIIVerdict(holds, 2 * c.p * c.phi_pm + 4)
 
 
 def gs_margin(h1: int, r1: int, r2: int) -> Fraction:
     """h1^2/4 - h1 - (r1 + r2), the slack in the finiteness contradiction."""
     from fractions import Fraction  # on call only: the package itself never needs fractions
 
-    return Fraction(h1 * h1, 4) - h1 - (r1 + r2)
+    return Fraction(_gs_slack(h1, r1, 2 * r2), 4)
 
 
 def gs_forces_infinite(h1: int, r1: int, r2: int) -> bool:
@@ -155,7 +119,7 @@ def gs_forces_infinite(h1: int, r1: int, r2: int) -> bool:
     """
     if min(h1, r1, r2) < 0:
         raise ValueError("inputs must be nonnegative")
-    return h1 * h1 - 4 * h1 >= 4 * (r1 + r2)
+    return _gs_slack(h1, r1, 2 * r2) >= 0
 
 
 def verify_candidate(c: TowerCandidate) -> CriterionReport:

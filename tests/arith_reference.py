@@ -1,4 +1,4 @@
-"""Reference oracles for is_prime, factorize, mult_order and rho.
+"""Reference oracles for is_prime, factorize, mult_order and rho, and the GL rank.
 
 The package answers is_prime for n up to the trial bound from a sieve, and
 above it runs only the Miller-Rabin bases n's size needs, with no trial
@@ -14,6 +14,10 @@ against the product of those primes. This earlier version steps a wheel
 through every residue coprime to 30 up to the bound instead; the rho stage
 after it is the same. It stays here so the tests can check that both versions
 hand rho the same survivors and return the same factorization.
+
+``gl_order`` and ``min_rank_l`` are the GL-rank bound: the least l with h
+dividing |GL_l(F_p)|, which equals mult_order(p, h). No verdict reads it, so it
+lives here, as an independent route to the multiplicative order.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from towerforge.arith import (
     euler_phi,
     factorize,
     is_prime,
+    mult_order,
 )
 from towerforge.errors import FactorizationError
 
@@ -166,3 +171,41 @@ def abs_pollard_brent(n: int, c: int, budget: int, e: int = 2) -> tuple[int | No
             if used > budget:
                 return None, used
     return (g if g != n else None), used
+
+
+def gl_order(l: int, p: int) -> int:
+    """|GL_l(F_p)| = (p^l - 1)(p^l - p)...(p^l - p^{l-1})."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    pl = p**l
+    result = 1
+    power = 1
+    for _ in range(l):
+        result *= pl - power
+        power *= p
+    return result
+
+
+def min_rank_l(p: int, h: int) -> int:
+    """Least l with h dividing |GL_l(F_p)|, for distinct primes p and h.
+
+    Divisibility is decided mod h: |GL_l(F_p)| = p^{l(l-1)/2} prod_{j<=l}(p^j - 1),
+    and the p-power part is never divisible by h, so only the running product
+    of the (p^j - 1) matters. The result provably equals mult_order(p, h),
+    which is asserted.
+    """
+    if not is_prime(p) or not is_prime(h):
+        raise ValueError("p and h must be prime")
+    if p == h:
+        raise ValueError("p and h must be distinct")
+    running = 1
+    pl = 1
+    l = 0
+    while True:
+        l += 1
+        pl = pl * p % h
+        running = running * (pl - 1) % h
+        if running == 0:
+            break
+    assert l == mult_order(p, h)
+    return l

@@ -1,4 +1,4 @@
-"""Tower conditions, GL-order rank bound, signatures, finiteness obstruction."""
+"""Tower conditions and the finiteness obstruction."""
 
 import json
 import random
@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from arith_reference import gl_order, min_rank_l
 
 from towerforge import arith, criteria
 from towerforge.arith import FactoredInteger, euler_phi, factorize, mult_order
@@ -14,11 +15,8 @@ from towerforge.criteria import (
     TowerCandidate,
     check_condition_I,
     check_condition_II,
-    gl_order,
     gs_forces_infinite,
     gs_margin,
-    min_rank_l,
-    signature_of_L,
     verify_candidate,
 )
 
@@ -75,13 +73,20 @@ class TestTowerCandidate:
             TowerCandidate.build(2, 0, 3, factorize(3))
 
     def test_totients_in_closed_form_equal_euler_phi(self):
-        # 101 is prime and above every p here, so it is a unit mod each of them
+        # 101 is prime and above every p here, so it is a unit mod each of them;
+        # so are the primes either side of the condition II bound, which exceed p
         for p in (n for n in range(2, 100) if arith.is_prime(n)):
             m = 1
             while p**m <= 2**12:
-                candidate = TowerCandidate.build(p, m, 101, factorize(101))
-                assert candidate.phi_pm == euler_phi(p**m), (p, m)
-                assert check_condition_II(candidate).bound == 2 * euler_phi(p ** (m + 1)) + 4, (p, m)
+                bound = 2 * euler_phi(p ** (m + 1)) + 4
+                below = next(h for h in range(bound - 1, p, -1) if arith.is_prime(h))
+                above = next(h for h in range(bound, 2 * bound) if arith.is_prime(h))
+                for h in (101, below, above):
+                    candidate = TowerCandidate.build(p, m, h, factorize(h))
+                    cond_ii = check_condition_II(candidate)
+                    assert candidate.phi_pm == euler_phi(p**m), (p, m)
+                    assert cond_ii.bound == bound, (p, m)
+                    assert cond_ii.holds == (h >= bound), (p, m, h)
                 m += 1
 
     def test_build_rejects_bad_degree(self):
@@ -125,7 +130,9 @@ class TestConditionI:
 
     def test_antimonotone_in_h_and_m(self):
         # raising h or m never turns a fail into a pass
+        # and the margin is f^2 - 4f - 2 h phi, also where h phi is odd
         rng = random.Random(53)
+        odd = 0
         for _ in range(300):
             f = rng.randrange(1, 2000)
             h = rng.randrange(2, 50_000)
@@ -136,6 +143,11 @@ class TestConditionI:
             if not base.holds:
                 assert not bigger_h.holds
                 assert not bigger_phi.holds
+            assert base.margin == f * f - 4 * f - 2 * h * phi
+            assert bigger_h.margin == f * f - 4 * f - 2 * (h + 100) * phi
+            assert bigger_phi.margin == f * f - 4 * f - 4 * h * phi
+            odd += h * phi % 2
+        assert odd > 0
 
 
 class TestConditionII:
@@ -197,18 +209,6 @@ class TestMinRank:
             min_rank_l(4, 7)
 
 
-class TestSignature:
-    def test_flagship_cases(self):
-        assert signature_of_L(CASE_P2) == (0, 1_351_744)
-        assert signature_of_L(CASE_P3) == (0, 210_033)
-        assert signature_of_L(CASE_P5) == (0, 5_150_700_250)
-
-    def test_degree_identity(self):
-        for candidate in (CASE_P2, CASE_P3, CASE_P5):
-            r1, r2 = signature_of_L(candidate)
-            assert r1 + 2 * r2 == candidate.p * candidate.phi_pm * candidate.h
-
-
 class TestGsObstruction:
     def test_examples(self):
         assert gs_forces_infinite(6, 1, 1)
@@ -220,6 +220,12 @@ class TestGsObstruction:
         assert margin == Fraction(21121 * 21121, 4) - 21121 - 1_351_744
         assert margin > 0
         assert gs_margin(4, 1, 1) < 0
+        rng = random.Random(41)
+        for _ in range(1000):
+            h1 = rng.randrange(0, 10_000)
+            r1 = rng.randrange(0, 10**7)
+            r2 = rng.randrange(0, 10**7)
+            assert 4 * gs_margin(h1, r1, r2) == h1 * h1 - 4 * h1 - 4 * (r1 + r2)
 
     def test_boundary_is_nonstrict(self):
         # h1^2/4 - h1 == r1 + r2 already contradicts the strict chain

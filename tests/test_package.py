@@ -20,11 +20,8 @@ PUBLIC_NAMES = {
         "TowerCandidate",
         "check_condition_I",
         "check_condition_II",
-        "gl_order",
         "gs_forces_infinite",
         "gs_margin",
-        "min_rank_l",
-        "signature_of_L",
         "verify_candidate",
     ],
     "cyclotomic": ["integer_det", "primitive_root_product"],
@@ -58,19 +55,11 @@ PUBLIC_NAMES = {
         "reproduce_table",
         "search_candidates",
     ],
-    "rayclass": [
-        "RayModulus",
-        "RayOrderIdentity",
-        "RayUnitProduct",
-        "check_ray_identity",
-        "local_unit_order",
-        "ray_numerator",
-    ],
 }
 
 
-def test_fifty_five_names():
-    assert sum(len(names) for names in PUBLIC_NAMES.values()) == 55
+def test_forty_six_names():
+    assert sum(len(names) for names in PUBLIC_NAMES.values()) == 46
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))

@@ -12,7 +12,6 @@ from towerforge.arith import FactoredInteger, factorize
 from towerforge.criteria import TowerCandidate, verify_candidate
 from towerforge.local import KummerClass
 from towerforge.pipeline import CacheEntry, SearchResult, TableRow, _now
-from towerforge.rayclass import RayModulus, RayOrderIdentity, RayUnitProduct
 
 
 def _records():
@@ -28,9 +27,6 @@ def _records():
         CacheEntry(128, h_minus, "2026-01-01T00:00:00+00:00", "product-formula"),
         TableRow.from_report(report),
         SearchResult((report,), ((256, "conductor budget 128 exceeded for m = 8"),), True),
-        RayModulus(3, 2, 2),
-        RayOrderIdentity(2, 6, 1, 3),
-        RayUnitProduct(factorize(36), 9),
     ]
 
 
@@ -38,8 +34,8 @@ RECORDS = _records()
 by_name = pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 
 
-def test_twelve_distinct_records():
-    assert len({type(record) for record in RECORDS}) == 12
+def test_nine_distinct_records():
+    assert len({type(record) for record in RECORDS}) == 9
 
 
 class TestRecordContract:
@@ -95,37 +91,13 @@ class TestCertifiedConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FactoredInteger(value=value, factors=factors)
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            ((12, 0, 0), "residue norm 12 is not a prime power"),
-            ((9, 0, 1), "k and num_primes must be >= 1"),
-            ((9, 1, 0), "k and num_primes must be >= 1"),
-        ],
-    )
-    def test_ray_modulus(self, args, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            RayModulus(*args)
-
-    @pytest.mark.parametrize("args", [(0, 6, 1, 3), (2, 6, 1, -3)])
-    def test_ray_order_identity(self, args):
-        with pytest.raises(ValueError, match="^all orders must be positive$"):
-            RayOrderIdentity(*args)
-
     def test_replace_certifies_too(self):
         assert factorize(12)._replace(factors=((2, 2), (3, 1))) == factorize(12)
         with pytest.raises(ValueError, match="^factors recompose to 12, not 13$"):
             factorize(12)._replace(value=13)
-        with pytest.raises(ValueError, match="^residue norm 6 is not a prime power$"):
-            RayModulus(3, 2, 2)._replace(residue_norm=6)
-        with pytest.raises(ValueError, match="^all orders must be positive$"):
-            RayOrderIdentity(2, 6, 1, 3)._replace(class_order=0)
 
     def test_keyword_construction(self):
-        assert RayModulus(residue_norm=9, k=2, num_primes=1) == RayModulus(9, 2, 1)
-        assert RayOrderIdentity(
-            unit_index=2, residue_unit_order=6, class_order=1, ray_class_order=3
-        ) == RayOrderIdentity(2, 6, 1, 3)
+        assert FactoredInteger(value=12, factors=((2, 2), (3, 1))) == factorize(12)
 
 
 def test_cache_timestamp_format():
@@ -147,9 +119,9 @@ def _fresh(tmp_path, flags, code):
 
 @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
 def test_cli_import_leaves_heavy_stdlib_modules_out(tmp_path, flags):
-    # nor rayclass, which no CLI command uses; pathlib (it loads urllib.parse
-    # and ipaddress) is checked under -S only, as site may preload it
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime", "towerforge.rayclass")
+    # pathlib (it loads urllib.parse and ipaddress) is checked under -S only,
+    # as site may preload it
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "datetime")
     heavy += ("pathlib",) if flags else ()
     code = f"import sys, towerforge.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     assert _fresh(tmp_path, flags, code) == "[]\n"
