@@ -3,8 +3,8 @@
 The package recomputes, from first principles, every quantity entering the
 two sufficient conditions for a prime-power cyclotomic field to sit under an
 infinite tower: relative class numbers (two independent methods),
-multiplicative orders, regular-prime tests, signatures, ray class order
-identities, local Kummer invariants, and the Golod-Shafarevich obstruction.
+multiplicative orders, regular-prime tests, local Kummer invariants, and the
+Golod-Shafarevich obstruction.
 
 Names are imported from their modules (``towerforge.arith``, ``.characters``,
 ``.criteria``, ``.local``, ``.pipeline``, ...); the root holds only ``__version__``.

@@ -12,7 +12,8 @@ Valuations are read off the pi-power basis: substituting x = 1 - t (a Taylor
 shift by Horner's rule, O(e^2) additions mod p^N; von zur Gathen and Gerhard,
 ISSAC 1997) rewrites an element as sum c_j t^j with j < e, and the terms
 c_j pi^j have pairwise distinct valuations e*v_p(c_j) + j, so the minimum is
-exact whenever it is resolved by the carried precision (cap e*N).
+exact, and for every element that is non-zero at the carried precision it
+lies below the cap e*N (see ``pi_valuation``).
 
 The same basis gives a canonical residue mod pi^l. Write l = e*k + r with
 0 <= r < e. An element is 0 mod pi^l iff every term has valuation >= l (the
@@ -54,22 +55,6 @@ from .arith import check_exponent
 from .cyclotomic import _fold, _poly_mul
 from .errors import CofactorError, PrecisionError
 
-
-class AtCap:
-    """Marker: valuation is at or beyond what the carried precision resolves."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "AT_CAP"
-
-
-AT_CAP = AtCap()
 
 _SEARCH_PRIMES = (2, 3)
 _SEARCH_EXPONENTS = (1, 2)
@@ -138,8 +123,8 @@ class _LocalRing:
             return self.key(self.t_basis(x.coeffs, p**precision), top)
 
         pi = LocalCycloElement.pi(p, m, precision)
-        one = LocalCycloElement.from_int(1, p, m, precision)
-        units = [LocalCycloElement.from_int(d, p, m, precision) for d in range(2, p)]
+        one = LocalCycloElement(p, m, precision, [1])
+        units = [LocalCycloElement(p, m, precision, [d]) for d in range(2, p)]
         units += [one + pi**i for i in range(1, top)]
         generators = [unit**p for unit in units]
         reached = {top_key(one)}
@@ -201,10 +186,6 @@ class LocalCycloElement:
         """The uniformizer 1 - zeta."""
         return cls(p, m, precision, [1, -1])
 
-    @classmethod
-    def from_int(cls, value: int, p: int, m: int, precision: int) -> "LocalCycloElement":
-        return cls(p, m, precision, [value])
-
     def _like(self, coeffs, precision: int | None = None) -> "LocalCycloElement":
         if precision is None:
             precision = self.precision
@@ -261,17 +242,15 @@ class LocalCycloElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def reduce_precision(self, precision: int) -> "LocalCycloElement":
-        if precision > self.precision:
-            raise PrecisionError("cannot raise precision after truncation")
-        return self._like(self.coeffs, precision)
 
+def pi_valuation(element: LocalCycloElement) -> int:
+    """Exact pi-adic valuation, always below the cap e*N.
 
-def pi_valuation(element: LocalCycloElement) -> int | AtCap:
-    """Exact pi-adic valuation, or AT_CAP when the precision cannot resolve it.
-
-    Rejects elements that vanish at the carried precision: their valuation is
-    only bounded below, never known.
+    The Taylor shift x = 1 - t is invertible over Z/p^N (its matrix is
+    triangular with diagonal entries +-1), so an element that is non-zero at
+    precision N has some c_j != 0 mod p^N. Then v_p(c_j) <= N - 1 and
+    e*v_p(c_j) + j <= e*N - 1 < cap. Rejects elements that vanish at the
+    carried precision: their valuation is only bounded below, never known.
     """
     if element.is_zero():
         raise ValueError("zero at the carried precision has no resolvable valuation")
@@ -285,8 +264,6 @@ def pi_valuation(element: LocalCycloElement) -> int | AtCap:
             d //= p
             v += 1
         best = min(best, e * v + j)
-    if best >= element.cap:
-        return AT_CAP
     return best
 
 
@@ -304,7 +281,7 @@ def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
     if element.precision <= t:
         raise PrecisionError(f"need precision > {t} to divide by pi^{t}")
     v = pi_valuation(element)
-    if v is AT_CAP or v < t:
+    if v < t:
         raise ValueError(f"valuation {v} is below {t}; division is not exact")
     scaled = element * element._like(element.ring.cofactor) ** t
     pt = element.p**t
@@ -378,8 +355,6 @@ def kappa_cap(p: int, m: int) -> int:
 def kummer_class(x: LocalCycloElement) -> KummerClass:
     """(v mod p, kappa), with the p-th-power part of the valuation absorbed."""
     v = pi_valuation(x)
-    if v is AT_CAP:
-        raise PrecisionError("valuation at cap; pick a higher precision")
     residue = v % x.p
     if residue != 0:
         return KummerClass(residue, None)

@@ -14,7 +14,6 @@ from itertools import product as iter_product
 
 from towerforge.errors import PrecisionError
 from towerforge.local import (
-    AT_CAP,
     LocalCycloElement,
     check_kappa_domain,
     kappa_cap,
@@ -26,7 +25,7 @@ def _pth_power_residues(x: LocalCycloElement, level: int):
     """Yield gamma^p - x over unit representatives gamma mod pi^level."""
     p = x.p
     pi = LocalCycloElement.pi(x.p, x.m, x.precision)
-    pi_powers = [LocalCycloElement.from_int(1, x.p, x.m, x.precision)]
+    pi_powers = [LocalCycloElement(x.p, x.m, x.precision, [1])]
     for _ in range(level - 1):
         pi_powers.append(pi_powers[-1] * pi)
     # digit 0 runs over 1..p-1 only: a non-unit gamma has v(gamma^p) >= p > 0,
@@ -58,8 +57,7 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
     for level in range(1, l_max + 1):
         found = False
         for difference in _pth_power_residues(x, level):
-            v = pi_valuation(difference) if not difference.is_zero() else AT_CAP
-            if v is AT_CAP or v >= level:
+            if difference.is_zero() or pi_valuation(difference) >= level:
                 found = True
                 break
         if not found:
@@ -78,7 +76,7 @@ def pth_powers(ring) -> tuple[frozenset, ...]:
     top = kappa_cap(p, m)
     precision = top // e + 1  # e * precision > top, so p^precision lies in pi^top
     pi = LocalCycloElement.pi(p, m, precision)
-    pi_powers = [LocalCycloElement.from_int(1, p, m, precision)]
+    pi_powers = [LocalCycloElement(p, m, precision, [1])]
     for _ in range(top - 1):
         pi_powers.append(pi_powers[-1] * pi)
     keys = set()

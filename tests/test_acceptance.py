@@ -13,7 +13,7 @@ from math import gcd
 
 from arith_reference import min_rank_l
 
-from towerforge.arith import euler_phi, is_prime, mult_order
+from towerforge.arith import euler_phi, mult_order
 from towerforge.bernoulli import is_regular_prime
 from towerforge.characters import hminus_determinant, hminus_product, relative_class_number
 from towerforge.criteria import Conclusion, gs_forces_infinite, gs_margin

@@ -217,6 +217,11 @@ class TestFactorize:
         assert factorize(1).factors == ()
         assert factorize(1).value == 1
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            factorize(n)
+
     def test_recomposition_random(self):
         rng = random.Random(20240811)
         for _ in range(200):

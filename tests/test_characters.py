@@ -18,13 +18,14 @@ from towerforge.arith import FactoredInteger, euler_phi, factorize, is_prime
 from towerforge.characters import (
     _bordered_system,
     _orbit_vector,
+    _positive_quotient,
     hminus_determinant,
     hminus_product,
     orbit_norms,
     relative_class_number,
 )
 from towerforge.cyclotomic import integer_det
-from towerforge.errors import BudgetExceededError, FactorizationError
+from towerforge.errors import BudgetExceededError, FactorizationError, IntegralityError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -198,6 +199,12 @@ class TestRelativeClassNumbers:
     def test_trivial_small_conductors(self):
         for p, m in ((3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (2, 5)):
             assert hminus_product(p, m) == 1
+
+    @pytest.mark.parametrize("numerator, denominator", [(1, 3), (-1, 1)])
+    def test_non_positive_or_fractional_quotient_rejected(self, numerator, denominator):
+        # w = 10 for q = 5: 10/3 is not an integer and -10 is not positive
+        with pytest.raises(IntegralityError):
+            _positive_quotient(5, numerator, denominator, "r")
 
     def test_first_nontrivial_values(self):
         assert hminus_product(23, 1) == 3

@@ -315,6 +315,26 @@ class TestSearch:
         result = run_cli(["search", "--p", "3", "--m-from", "1", "--m-to", "2"], tmp_path)
         assert result.returncode == 0
 
+    @pytest.mark.parametrize(
+        "p, stdout",
+        [
+            (37, "p  conductor  h  f  cond_I  margin_I  cond_II  bound_II  conclusion\n"),
+            (
+                59,
+                " p  conductor    h    f  cond_I  margin_I  cond_II  bound_II  conclusion\n"
+                "59         59  233  232    fail     25868     fail      6848        fail\n"
+                "59         59    3    2    fail      -352     fail      6848        fail\n",
+            ),
+        ],
+    )
+    def test_degree_equal_to_the_ramified_prime_is_skipped(self, tmp_path, p, stdout):
+        result = run_cli(["search", "--p", str(p), "--m-from", "1", "--m-to", "1"], tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0,
+            stdout,
+            f"skipped conductor {p}: degree {p} equals the ramified prime\n",
+        )
+
     @pytest.mark.parametrize("p, m_from, m_to", [(4, 6, 7), (1, 1, 3)])
     def test_non_prime_p_exits_2(self, tmp_path, p, m_from, m_to):
         result = run_cli(

@@ -15,7 +15,6 @@ from test_cli import cli_env
 from towerforge import arith, cyclotomic
 from towerforge.errors import CofactorError, PrecisionError
 from towerforge.local import (
-    AT_CAP,
     KummerClass,
     LocalCycloElement,
     _LocalRing,
@@ -43,19 +42,31 @@ class TestPiValuation:
         assert pi_valuation(LocalCycloElement.pi(3, 1, 6)) == 1
 
     def test_p_is_pi_to_the_e(self):
-        assert pi_valuation(LocalCycloElement.from_int(3, 3, 1, 6)) == 2
-        assert pi_valuation(LocalCycloElement.from_int(3, 3, 2, 4)) == 6
-        assert pi_valuation(LocalCycloElement.from_int(2, 2, 2, 5)) == 2
+        assert pi_valuation(LocalCycloElement(3, 1, 6, [3])) == 2
+        assert pi_valuation(LocalCycloElement(3, 2, 4, [3])) == 6
+        assert pi_valuation(LocalCycloElement(2, 2, 5, [2])) == 2
 
     def test_unit(self):
-        assert pi_valuation(LocalCycloElement.from_int(2, 3, 1, 6)) == 0
+        assert pi_valuation(LocalCycloElement(3, 1, 6, [2])) == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            pi_valuation(LocalCycloElement.from_int(0, 3, 1, 4))
+            pi_valuation(LocalCycloElement(3, 1, 4, [0]))
         with pytest.raises(ValueError):
             # 81 = 3^4 vanishes mod 3^4
-            pi_valuation(LocalCycloElement.from_int(81, 3, 1, 4))
+            pi_valuation(LocalCycloElement(3, 1, 4, [81]))
+
+    @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)])
+    def test_every_non_zero_valuation_is_an_int_below_cap(self, p, m):
+        rng = random.Random(100 * p + m)
+        for precision in range(1, 7):
+            pi = LocalCycloElement.pi(p, m, precision)
+            for k in range(pi.cap + 2):
+                coeffs = [rng.randrange(p**precision) for _ in range(pi.e)]
+                x = LocalCycloElement(p, m, precision, coeffs) * pi**k
+                if not x.is_zero():
+                    v = pi_valuation(x)
+                    assert type(v) is int and v < x.cap, (x, k)
 
     def test_additivity(self):
         rng = random.Random(5)
@@ -73,15 +84,15 @@ class TestDivideByPi:
     def test_total_ramification_witness(self):
         for p, m in ((2, 2), (3, 1), (3, 2), (2, 1), (2, 3), (5, 1), (7, 1)):
             e = LocalCycloElement.pi(p, m, 8).e
-            p_elem = LocalCycloElement.from_int(p, p, m, 8)
+            p_elem = LocalCycloElement(p, m, 8, [p])
             pi = LocalCycloElement.pi(p, m, 8)
             assert pi * LocalCycloElement(p, m, 8, _local_ring(p, m).cofactor) == p_elem
             assert pi_valuation(pi**e) == pi_valuation(p_elem) == e
             unit = divide_by_pi(p_elem, e)
             assert pi_valuation(unit) == 0
             # multiply back and compare at the reduced precision
-            back = (pi**e * unit).reduce_precision(unit.precision)
-            assert back == p_elem.reduce_precision(unit.precision)
+            back = LocalCycloElement(p, m, unit.precision, (pi**e * unit).coeffs)
+            assert back == LocalCycloElement(p, m, unit.precision, p_elem.coeffs)
 
     def test_round_trip(self):
         rng = random.Random(13)
@@ -91,11 +102,16 @@ class TestDivideByPi:
             x = u * pi**3
             quotient = divide_by_pi(x, 3)
             assert pi_valuation(quotient) == 0
-            assert (quotient * pi**3).reduce_precision(4) == x.reduce_precision(4)
+            back = LocalCycloElement(3, 1, 4, (quotient * pi**3).coeffs)
+            assert back == LocalCycloElement(3, 1, 4, x.coeffs)
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match=r"^t must be >= 0$"):
+            divide_by_pi(LocalCycloElement.pi(3, 1, 4), -1)
 
     def test_inexact_rejected(self):
         with pytest.raises(ValueError):
-            divide_by_pi(LocalCycloElement.from_int(2, 3, 1, 6), 1)
+            divide_by_pi(LocalCycloElement(3, 1, 6, [2]), 1)
 
     def test_precision_exhaustion(self):
         pi = LocalCycloElement.pi(3, 1, 2)
@@ -105,9 +121,9 @@ class TestDivideByPi:
 
 class TestKappa:
     def test_one_reaches_lmax(self):
-        one = LocalCycloElement.from_int(1, 3, 1, 6)
+        one = LocalCycloElement(3, 1, 6, [1])
         assert kappa(one, 3) == 3
-        one2 = LocalCycloElement.from_int(1, 2, 2, 8)
+        one2 = LocalCycloElement(2, 2, 8, [1])
         assert kappa(one2, 4) == 4
 
     def test_one_plus_pi(self):
@@ -138,15 +154,15 @@ class TestKappa:
 
     def test_domain_enforcement(self):
         with pytest.raises(ValueError):
-            kappa(LocalCycloElement.from_int(1, 5, 1, 6), 3)
+            kappa(LocalCycloElement(5, 1, 6, [1]), 3)
         with pytest.raises(ValueError):
-            kappa(LocalCycloElement.from_int(1, 3, 2, 6), 9)  # above the level limit
+            kappa(LocalCycloElement(3, 2, 6, [1]), 9)  # above the level limit
         with pytest.raises(ValueError):
-            kappa(LocalCycloElement.from_int(1, 3, 1, 6), 4)  # above p^m
+            kappa(LocalCycloElement(3, 1, 6, [1]), 4)  # above p^m
 
     def test_insufficient_precision(self):
         with pytest.raises(PrecisionError):
-            kappa(LocalCycloElement.from_int(1, 3, 1, 2), 3)
+            kappa(LocalCycloElement(3, 1, 2, [1]), 3)
 
 
 SEARCH_RINGS = ((2, 1), (2, 2), (3, 1), (3, 2))
@@ -188,13 +204,13 @@ class TestKappaTable:
     def test_one_below_minimal_precision_rejected(self):
         for p, m in SEARCH_RINGS:
             cap = kappa_cap(p, m)
-            x = LocalCycloElement.from_int(1, p, m, minimal_precision(p, m, cap) - 1)
+            x = LocalCycloElement(p, m, minimal_precision(p, m, cap) - 1, [1])
             with pytest.raises(PrecisionError):
                 kappa(x, cap)
 
     def test_table_sizes_of_ring_3_2(self):
         # (3, 2): 2 * 3^7 = 4374 units mod pi^8 cube to 18 residues
-        assert [len(keys) for keys in LocalCycloElement.from_int(1, 3, 2, 2).ring.pth_powers] == [
+        assert [len(keys) for keys in LocalCycloElement(3, 2, 2, [1]).ring.pth_powers] == [
             2, 2, 2, 6, 6, 6, 18, 18
         ]
 
@@ -236,12 +252,12 @@ class TestKummerClass:
         assert kummer_class(LocalCycloElement.pi(3, 1, 8)) == KummerClass(1, None)
 
     def test_unit_one(self):
-        cls = kummer_class(LocalCycloElement.from_int(1, 3, 1, 8))
+        cls = kummer_class(LocalCycloElement(3, 1, 8, [1]))
         assert cls == KummerClass(0, kappa_cap(3, 1))
 
     def test_valuation_reduced_mod_p(self):
         pi = LocalCycloElement.pi(3, 1, 8)
-        two = LocalCycloElement.from_int(2, 3, 1, 8)
+        two = LocalCycloElement(3, 1, 8, [2])
         assert kummer_class(two * pi**2) == KummerClass(2, None)
         # v = 3 is absorbed into the p-th power pi^3, leaving the unit part
         assert kummer_class(two * pi**3) == kummer_class(two * pi**3)
@@ -270,7 +286,7 @@ class TestKummerClassInvariance:
         assert check_kummer_class_invariance(u, [g1**3, g2**3])
 
     def test_bad_cofactor_reported_distinctly(self):
-        u = LocalCycloElement.from_int(1, 3, 1, 8)
+        u = LocalCycloElement(3, 1, 8, [1])
         x = LocalCycloElement(3, 1, 8, [2, -1])  # 1 + pi: kappa = 1 < cap
         with pytest.raises(CofactorError):
             check_kummer_class_invariance(u, [x])
@@ -280,9 +296,20 @@ class TestKummerClassInvariance:
 
 class TestElementBasics:
     def test_immutability(self):
-        element = LocalCycloElement.from_int(1, 3, 1, 4)
+        element = LocalCycloElement(3, 1, 4, [1])
         with pytest.raises(AttributeError):
             element.coeffs = (0, 0)
+
+    def test_precision_below_1_rejected(self):
+        with pytest.raises(ValueError, match=r"^precision must be >= 1$"):
+            LocalCycloElement(3, 1, 0, [1])
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            LocalCycloElement.pi(3, 1, 4) ** -1
+
+    def test_never_equals_an_int(self):
+        assert (LocalCycloElement(3, 1, 4, [1]) == 1) is False
 
     def test_reduction_mod_cyclotomic(self):
         # zeta^2 + zeta + 1 = 0 in the p = 3, m = 1 ring
@@ -296,8 +323,8 @@ class TestElementBasics:
             LocalCycloElement(3, 1, precision, coeffs)
 
     def test_ring_mismatch(self):
-        a = LocalCycloElement.from_int(1, 3, 1, 4)
-        b = LocalCycloElement.from_int(1, 2, 2, 4)
+        a = LocalCycloElement(3, 1, 4, [1])
+        b = LocalCycloElement(2, 2, 4, [1])
         with pytest.raises(ValueError):
             _ = a * b
 
@@ -310,9 +337,6 @@ class TestElementBasics:
         with pytest.raises(ValueError, match=f"^{message}$"):
             LocalCycloElement(p, m, 3, [2, 1])
         assert _local_ring.cache_info().currsize == cached
-
-    def test_at_cap_repr(self):
-        assert repr(AT_CAP) == "AT_CAP"
 
     def test_copies_keep_value_and_ring(self):
         x = LocalCycloElement(3, 2, 5, [1, 2, 3, 4, 5, 7])
@@ -361,7 +385,7 @@ class TestClosedForm:
         assert _local_ring(p, m).cofactor == tuple(sum(phi[j + 1 :]) for j in range(len(phi) - 1))
         pi = LocalCycloElement.pi(p, m, 4)
         cofactor = LocalCycloElement(p, m, 4, _local_ring(p, m).cofactor)
-        assert pi * cofactor == LocalCycloElement.from_int(p, p, m, 4)
+        assert pi * cofactor == LocalCycloElement(p, m, 4, [p])
 
     def test_building_and_multiplying_factors_nothing(self, monkeypatch):
         def refuse(*args):
@@ -375,7 +399,7 @@ class TestClosedForm:
             assert x * x == x**2
             pi = LocalCycloElement.pi(p, m, 4)
             cofactor = LocalCycloElement(p, m, 4, _local_ring(p, m).cofactor)
-            assert pi * cofactor == LocalCycloElement.from_int(p, p, m, 4)
+            assert pi * cofactor == LocalCycloElement(p, m, 4, [p])
         _local_ring.cache_clear()
 
 
@@ -408,7 +432,7 @@ class TestTBasis:
         x = unit * LocalCycloElement.pi(p, 3, precision) ** v
         assert pi_valuation(unit) == 0
         assert pi_valuation(x) == v
-        assert divide_by_pi(x, v) == unit.reduce_precision(precision - v)
+        assert divide_by_pi(x, v) == LocalCycloElement(p, 3, precision - v, unit.coeffs)
 
     def test_ring_stores_no_table_for_valuations(self):
         ring = _local_ring(11, 2)

@@ -17,6 +17,7 @@ from towerforge.errors import CacheMismatchError
 from towerforge.pipeline import (
     CacheEntry,
     HminusCache,
+    SearchResult,
     TableRow,
     cached_relative_class_number,
     emit_report,
@@ -340,6 +341,12 @@ class TestSearch:
         with pytest.raises(ValueError, match="^m must be >= 1$"):
             search_candidates(2, 0, -1)
         assert search_candidates(2, 3, 3).reports == ()  # a one-m range is not reversed
+
+    def test_degree_equal_to_the_ramified_prime_is_skipped(self):
+        # 37 is irregular and divides h^-(37) = 37
+        assert search_candidates(37, 1, 1) == SearchResult(
+            (), ((37, "degree 37 equals the ramified prime"),), False
+        )
 
     def test_budget_flagged(self):
         result = search_candidates(2, 7, 12, conductor_budget=128)
