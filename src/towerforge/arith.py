@@ -149,12 +149,6 @@ class FactoredInteger(_FactoredFields):
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"

@@ -13,6 +13,9 @@ taken at two totally complex fields (r1 = 0), and read from one integer slack,
 f^2 - 4f - 2 h phi(p^m). Condition II takes it at (h, 0, p phi(p^m) h / 2),
 the degree-p Kummer layer over the degree-h extension: the slack is
 h (h - 4 - 2 p phi(p^m)), whose positive root 2 phi(p^{m+1}) + 4 is bound_II.
+
+``TowerCandidate.build`` is the one check of (p, m, h). ``verify_candidate``
+trusts it, and its flat ``CriterionReport`` carries margin_i and bound_ii directly.
 """
 
 from __future__ import annotations
@@ -43,29 +46,19 @@ class TowerCandidate(NamedTuple):
 
     @classmethod
     def build(cls, p: int, m: int, h: int, h_minus: FactoredInteger) -> "TowerCandidate":
-        if not is_prime(h):
-            raise ValueError(f"degree h = {h} is not prime")
-        if h_minus.value % h != 0:
+        check_exponent(p, m)
+        # h_minus certified each listed prime and the complete factorization, so
+        # h is listed exactly when h is prime and divides h^-
+        if h not in h_minus.primes:
+            if not is_prime(h):
+                raise ValueError(f"degree h = {h} is not prime")
             raise ValueError(f"h = {h} does not divide h^- = {h_minus.value}")
         if p == h:
             raise ValueError("h = p has no multiplicative order f")
-        if p % h == 0:
-            raise ValueError(f"{p} is not a unit mod {h}")
-        check_exponent(p, m)
         # h is proven prime, so p^(h - 1) = 1 (mod h): f is the least divisor
         # of h - 1 that works, found without factoring h
         f = _order_dividing(p, h, h - 1, factorize(h - 1).primes)
         return cls(p, m, h, f, p**m - p ** (m - 1), h_minus)
-
-
-class ConditionIVerdict(NamedTuple):
-    holds: bool
-    margin: int  # (f^2 - 4f) - 2 h phi(p^m), sign-carrying
-
-
-class ConditionIIVerdict(NamedTuple):
-    holds: bool
-    bound: int  # 2 phi(p^{m+1}) + 4, which h must reach
 
 
 class Conclusion(str, Enum):
@@ -77,8 +70,10 @@ class Conclusion(str, Enum):
 
 class CriterionReport(NamedTuple):
     candidate: TowerCandidate
-    cond_i: ConditionIVerdict
-    cond_ii: ConditionIIVerdict
+    cond_i: bool
+    margin_i: int  # (f^2 - 4f) - 2 h phi(p^m), sign-carrying
+    cond_ii: bool
+    bound_ii: int  # 2 phi(p^{m+1}) + 4, which h must reach
     regular_p: bool
     conclusion: Conclusion
 
@@ -86,21 +81,6 @@ class CriterionReport(NamedTuple):
 def _gs_slack(h1: int, r1: int, twice_r2: int) -> int:
     """4 (h1^2/4 - h1 - (r1 + r2)), an integer even where r2 is a half-integer."""
     return h1 * h1 - 4 * h1 - 4 * r1 - 2 * twice_r2
-
-
-def check_condition_I(c: TowerCandidate, regular: bool) -> ConditionIVerdict:
-    """Regularity of p together with f^2 - 4f >= 2 h phi(p^m)."""
-    margin = _gs_slack(c.f, 0, c.h * c.phi_pm)
-    return ConditionIVerdict(regular and margin >= 0, margin)
-
-
-def check_condition_II(c: TowerCandidate) -> ConditionIIVerdict:
-    """h (h - 4 - 2 p phi(p^m)) >= 0, that is h >= bound = 2 phi(p^{m+1}) + 4.
-
-    bound is the least h > 0 where the slack is >= 0, with phi(p^{m+1}) = p phi(p^m).
-    """
-    holds = _gs_slack(c.h, 0, c.p * c.phi_pm * c.h) >= 0
-    return ConditionIIVerdict(holds, 2 * c.p * c.phi_pm + 4)
 
 
 def gs_margin(h1: int, r1: int, r2: int) -> Fraction:
@@ -125,23 +105,21 @@ def gs_forces_infinite(h1: int, r1: int, r2: int) -> bool:
 def verify_candidate(c: TowerCandidate) -> CriterionReport:
     """Evaluate regularity and both conditions; pass requires both branches.
 
+    c is trusted as ``TowerCandidate.build`` made it: h a prime dividing h^-.
     The branch selector (whether p divides the class number of the degree-h
     extension) is out of computational reach, so a candidate is only reported
     as passing when either branch would do.
     """
-    if not is_prime(c.h):
-        raise ValueError(f"degree h = {c.h} is not prime")
-    if c.h_minus.value % c.h != 0:
-        raise ValueError(f"h = {c.h} does not divide h^- = {c.h_minus.value}")
     regular = is_regular_prime(c.p)
-    cond_i = check_condition_I(c, regular)
-    cond_ii = check_condition_II(c)
-    if cond_i.holds and cond_ii.holds:
+    margin_i = _gs_slack(c.f, 0, c.h * c.phi_pm)
+    cond_i = regular and margin_i >= 0
+    cond_ii = _gs_slack(c.h, 0, c.p * c.phi_pm * c.h) >= 0
+    if cond_i and cond_ii:
         conclusion = Conclusion.BOTH
-    elif cond_i.holds:
+    elif cond_i:
         conclusion = Conclusion.ONLY_I
-    elif cond_ii.holds:
+    elif cond_ii:
         conclusion = Conclusion.ONLY_II
     else:
         conclusion = Conclusion.FAIL
-    return CriterionReport(c, cond_i, cond_ii, regular, conclusion)
+    return CriterionReport(c, cond_i, margin_i, cond_ii, 2 * c.p * c.phi_pm + 4, regular, conclusion)

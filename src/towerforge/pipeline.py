@@ -207,10 +207,10 @@ class TableRow(NamedTuple):
             conductor=c.p**c.m,
             h=c.h,
             f=c.f,
-            cond_i=report.cond_i.holds,
-            margin_i=report.cond_i.margin,
-            cond_ii=report.cond_ii.holds,
-            bound_ii=report.cond_ii.bound,
+            cond_i=report.cond_i,
+            margin_i=report.margin_i,
+            cond_ii=report.cond_ii,
+            bound_ii=report.bound_ii,
             conclusion=report.conclusion.value,
         )
 
@@ -293,7 +293,7 @@ def search_candidates(
                 continue
             candidate = TowerCandidate.build(p, m, h, h_minus)
             reports.append(verify_candidate(candidate))
-    reports.sort(key=lambda r: (_CONCLUSION_RANK[r.conclusion], -r.cond_i.margin))
+    reports.sort(key=lambda r: (_CONCLUSION_RANK[r.conclusion], -r.margin_i))
     return SearchResult(tuple(reports), tuple(skipped), budget_exceeded)
 
 

@@ -661,6 +661,21 @@ def test_regular_refuses_over_budget_before_any_tangent_number(cli, capsys, monk
     assert run_in_process(cli, ["regular", "--p", "6009"], capsys) == (2, "", "error: 6009 is not prime\n")
 
 
+def test_any_other_towerforge_error_exits_1_as_a_verification_failure(cli, tmp_path, capsys, monkeypatch):
+    from towerforge import pipeline
+    from towerforge.errors import IntegralityError
+
+    def not_integral(p, m):
+        raise IntegralityError(f"h^- of conductor {p**m} has a denominator")
+
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("")
+    monkeypatch.setenv("TOWERFORGE_CACHE", str(cache))
+    monkeypatch.setattr(pipeline, "relative_class_number", not_integral)
+    code, out, err = run_in_process(cli, ["hminus", "--p", "2", "--m", "3"], capsys)
+    assert (code, out, err) == (1, "", "verification failure: h^- of conductor 8 has a denominator\n")
+
+
 class TestInProcessReuse:
     """Repeated ``main`` calls in one process share the parser and the parsed
     cache lines; each call must still answer as a fresh process would."""

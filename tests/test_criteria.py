@@ -13,8 +13,6 @@ from towerforge.arith import FactoredInteger, euler_phi, factorize, mult_order
 from towerforge.criteria import (
     Conclusion,
     TowerCandidate,
-    check_condition_I,
-    check_condition_II,
     gs_forces_infinite,
     gs_margin,
     verify_candidate,
@@ -65,7 +63,7 @@ class TestTowerCandidate:
     def test_build_refuses_a_p_that_h_divides(self):
         with pytest.raises(ValueError, match="h = p has no multiplicative order f"):
             TowerCandidate.build(37, 1, 37, factorize(37))
-        with pytest.raises(ValueError, match="74 is not a unit mod 37"):
+        with pytest.raises(ValueError, match="74 is not prime"):
             TowerCandidate.build(74, 1, 37, factorize(37))
         with pytest.raises(ValueError, match="4 is not prime"):
             TowerCandidate.build(4, 2, 3, factorize(3))
@@ -83,10 +81,10 @@ class TestTowerCandidate:
                 above = next(h for h in range(bound, 2 * bound) if arith.is_prime(h))
                 for h in (101, below, above):
                     candidate = TowerCandidate.build(p, m, h, factorize(h))
-                    cond_ii = check_condition_II(candidate)
+                    report = verify_candidate(candidate)
                     assert candidate.phi_pm == euler_phi(p**m), (p, m)
-                    assert cond_ii.bound == bound, (p, m)
-                    assert cond_ii.holds == (h >= bound), (p, m, h)
+                    assert report.bound_ii == bound, (p, m)
+                    assert report.cond_ii == (h >= bound), (p, m, h)
                 m += 1
 
     def test_build_rejects_bad_degree(self):
@@ -98,35 +96,36 @@ class TestTowerCandidate:
 
 class TestConditionI:
     def test_case_p2(self):
-        verdict = check_condition_I(CASE_P2, regular=True)
-        assert verdict.holds
-        assert verdict.margin == 10560 * 10560 - 4 * 10560 - 2 * 21121 * 64
-        assert verdict.margin == 108_767_872
+        report = verify_candidate(CASE_P2)
+        assert report.cond_i
+        assert report.margin_i == 10560 * 10560 - 4 * 10560 - 2 * 21121 * 64
+        assert report.margin_i == 108_767_872
 
     def test_case_p3(self):
-        verdict = check_condition_I(CASE_P3, regular=True)
-        assert verdict.holds
-        assert verdict.margin == 417_312 - 280_044
-        assert verdict.margin == 137_268
+        report = verify_candidate(CASE_P3)
+        assert report.cond_i
+        assert report.margin_i == 417_312 - 280_044
+        assert report.margin_i == 137_268
 
     def test_small_f_fails(self):
         shallow = TowerCandidate(2, 7, 21121, 300, 64, H_MINUS_128)
-        verdict = check_condition_I(shallow, regular=True)
-        assert not verdict.holds
-        assert verdict.margin == 300 * 300 - 1200 - 2_703_488
+        report = verify_candidate(shallow)
+        assert not report.cond_i
+        assert report.margin_i == 300 * 300 - 1200 - 2_703_488
 
     def test_irregular_fails_regardless_of_margin(self):
-        verdict = check_condition_I(CASE_P2, regular=False)
-        assert not verdict.holds
-        assert verdict.margin == 108_767_872  # margin still reported
+        # 37 is irregular; the margin reads f, h and phi(p^m) alone
+        report = verify_candidate(CASE_P2._replace(p=37))
+        assert not report.regular_p and not report.cond_i
+        assert report.margin_i == 108_767_872  # margin still reported
 
     def test_monotone_in_f(self):
         # raising f never turns a pass into a fail
         for f in range(1, 400, 7):
             candidate = TowerCandidate(2, 7, 21121, f, 64, H_MINUS_128)
             next_candidate = TowerCandidate(2, 7, 21121, f + 1, 64, H_MINUS_128)
-            if check_condition_I(candidate, True).holds:
-                assert check_condition_I(next_candidate, True).holds
+            if verify_candidate(candidate).cond_i:
+                assert verify_candidate(next_candidate).cond_i
 
     def test_antimonotone_in_h_and_m(self):
         # raising h or m never turns a fail into a pass
@@ -137,33 +136,33 @@ class TestConditionI:
             f = rng.randrange(1, 2000)
             h = rng.randrange(2, 50_000)
             phi = rng.randrange(1, 512)
-            base = check_condition_I(TowerCandidate(2, 1, h, f, phi, H_MINUS_128), True)
-            bigger_h = check_condition_I(TowerCandidate(2, 1, h + 100, f, phi, H_MINUS_128), True)
-            bigger_phi = check_condition_I(TowerCandidate(2, 1, h, f, 2 * phi, H_MINUS_128), True)
-            if not base.holds:
-                assert not bigger_h.holds
-                assert not bigger_phi.holds
-            assert base.margin == f * f - 4 * f - 2 * h * phi
-            assert bigger_h.margin == f * f - 4 * f - 2 * (h + 100) * phi
-            assert bigger_phi.margin == f * f - 4 * f - 4 * h * phi
+            base = verify_candidate(TowerCandidate(2, 1, h, f, phi, H_MINUS_128))
+            bigger_h = verify_candidate(TowerCandidate(2, 1, h + 100, f, phi, H_MINUS_128))
+            bigger_phi = verify_candidate(TowerCandidate(2, 1, h, f, 2 * phi, H_MINUS_128))
+            if not base.cond_i:
+                assert not bigger_h.cond_i
+                assert not bigger_phi.cond_i
+            assert base.margin_i == f * f - 4 * f - 2 * h * phi
+            assert bigger_h.margin_i == f * f - 4 * f - 2 * (h + 100) * phi
+            assert bigger_phi.margin_i == f * f - 4 * f - 4 * h * phi
             odd += h * phi % 2
         assert odd > 0
 
 
 class TestConditionII:
     def test_bounds(self):
-        v2 = check_condition_II(CASE_P2)
-        assert v2.holds and v2.bound == 260
-        v5 = check_condition_II(CASE_P5)
-        assert v5.holds and v5.bound == 1004
+        v2 = verify_candidate(CASE_P2)
+        assert v2.cond_ii and v2.bound_ii == 260
+        v5 = verify_candidate(CASE_P5)
+        assert v5.cond_ii and v5.bound_ii == 1004
         # the bound uses the conductor one level up: 2*phi(3^5) + 4
-        v3 = check_condition_II(CASE_P3)
-        assert v3.holds and v3.bound == 328
+        v3 = verify_candidate(CASE_P3)
+        assert v3.cond_ii and v3.bound_ii == 328
 
     def test_failing(self):
         small = TowerCandidate(2, 7, 17, 8, 64, H_MINUS_128)
-        verdict = check_condition_II(small)
-        assert not verdict.holds and verdict.bound == 260
+        report = verify_candidate(small)
+        assert not report.cond_ii and report.bound_ii == 260
 
 
 class TestGlOrder:
@@ -254,25 +253,17 @@ class TestVerifyCandidate:
             report = verify_candidate(candidate)
             assert report.conclusion is Conclusion.BOTH
             assert report.regular_p
-            assert report.cond_i.holds and report.cond_ii.holds
+            assert report.cond_i and report.cond_ii
 
     def test_synthetic_failure(self):
         candidate = TowerCandidate.build(2, 1, 3, factorize(3))
         report = verify_candidate(candidate)
         assert report.conclusion is Conclusion.FAIL
-        assert report.cond_i.margin == 4 - 8 - 2 * 3 * 1
-        assert report.cond_ii.bound == 8
-
-    def test_rejections(self):
-        bogus = TowerCandidate(2, 7, 15, 4, 64, H_MINUS_128)
-        with pytest.raises(ValueError):
-            verify_candidate(bogus)
-        not_dividing = TowerCandidate(2, 7, 13, 12, 64, H_MINUS_128)
-        with pytest.raises(ValueError):
-            verify_candidate(not_dividing)
+        assert report.margin_i == 4 - 8 - 2 * 3 * 1
+        assert report.bound_ii == 8
 
     def test_conclusion_consistency(self):
         report = verify_candidate(CASE_P2)
         assert (report.conclusion is Conclusion.BOTH) == (
-            report.cond_i.holds and report.cond_ii.holds
+            report.cond_i and report.cond_ii
         )

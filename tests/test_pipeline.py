@@ -324,7 +324,7 @@ class TestSearch:
         assert by_h[17].conclusion is Conclusion.FAIL
         # f(2 mod 17) = 8: condition I margin 8^2 - 32 - 2*17*64 < 0, bound 260 unmet
         assert by_h[17].candidate.f == 8
-        assert by_h[17].cond_i.margin == 64 - 32 - 2176
+        assert by_h[17].margin_i == 64 - 32 - 2176
         assert not result.budget_exceeded
         # the passing row sorts first
         assert result.reports[0].candidate.h == 21121

@@ -20,8 +20,6 @@ def _records():
     return [
         h_minus,
         report.candidate,
-        report.cond_i,
-        report.cond_ii,
         report,
         KummerClass(0, 3),
         CacheEntry(128, h_minus, "2026-01-01T00:00:00+00:00", "product-formula"),
@@ -34,8 +32,8 @@ RECORDS = _records()
 by_name = pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 
 
-def test_nine_distinct_records():
-    assert len({type(record) for record in RECORDS}) == 9
+def test_seven_distinct_records():
+    assert len({type(record) for record in RECORDS}) == 7
 
 
 class TestRecordContract:
