@@ -129,17 +129,15 @@ def _crt_primes(d: int) -> Iterator[int]:
         k -= size
 
 
-def _crt_reconstruct(
-    residue: Callable[[int], int], primes: Iterator[int], limit: int, scale: int = 1
-) -> int:
+def _crt_reconstruct(residue: Callable[[int], int], primes: Iterator[int], limit: int) -> int:
     """The integer N with N = residue(l) (mod l) for every l drawn from ``primes``.
 
-    The caller proves 4 N^2 scale <= limit. Residues are combined by the
-    Chinese remainder theorem until the modulus M has M^2 scale > limit, so
-    M > 2|N|, and N is the residue in (-M/2, M/2]. Both exact kernels end here.
+    The caller proves 4 N^2 <= limit. Residues are combined by the Chinese
+    remainder theorem until the modulus M has M^2 > limit, so M > 2|N|, and
+    N is the residue in (-M/2, M/2]. Both exact kernels end here.
     """
     modulus, value = 1, 0
-    while modulus * modulus * scale <= limit:
+    while modulus * modulus <= limit:
         ell = next(primes)
         value += modulus * ((residue(ell) - value) * pow(modulus, -1, ell) % ell)
         modulus *= ell
@@ -329,8 +327,9 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     The orthogonality sum_j zeta_d^(j(i-k)) = d [i = k] gives Parseval's
     identity sum_j |v_j|^2 = d S. Over the phi = phi(d) units j, AM-GM gives
     N^2 = prod |v_j|^2 <= (sum |v_j|^2 / phi)^phi <= (d S / phi)^phi, so
-    4 N^2 phi^phi <= 4 (d S)^phi, the limit ``_crt_reconstruct`` is given. A
-    zero W has limit 0, so no prime is drawn for it.
+    4 N^2 <= 4 (d S)^phi / phi^phi, and, 4 N^2 being an integer, also at most
+    its floor, the limit ``_crt_reconstruct`` is given. A zero W has limit 0,
+    so no prime is drawn for it.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -338,7 +337,7 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     factors = factorize(d).factors
     phi = prod((r - 1) * r ** (e - 1) for r, e in factors)
     shift = sum(folded) // d if d > 1 else 0
-    limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi
+    limit = 4 * (d * sum((c - shift) ** 2 for c in folded)) ** phi // phi**phi
 
     f = _fold(folded, d)
     for r, e in factors:
@@ -351,6 +350,4 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     if m < d:  # f(-x), at the primitive m-th roots
         f = [-c if i & 1 else c for i, c in enumerate(f)]
     odd = [r for r, _ in factors if r > 2]
-    return _crt_reconstruct(
-        lambda ell: _unit_values_product(f, m, odd, ell), _crt_primes(d), limit, phi**phi
-    )
+    return _crt_reconstruct(lambda ell: _unit_values_product(f, m, odd, ell), _crt_primes(d), limit)

@@ -5,8 +5,8 @@ coefficients carried mod p^N, where N is an explicit per-element precision.
 The maximal ideal is generated by pi = 1 - zeta, the ramification index is
 e = phi(p^m), and p = unit * pi^e.
 Everything fixed by (p, m) lives in one cached ring context per ring, which
-every element points to; precision stays per element, because dividing by pi
-lowers it.
+every element looks up by its (p, m) instead of holding a reference to it;
+precision stays per element, because dividing by pi lowers it.
 
 Valuations are read off the pi-power basis: substituting x = 1 - t (a Taylor
 shift by Horner's rule, O(e^2) additions mod p^N; von zur Gathen and Gerhard,
@@ -142,12 +142,19 @@ def _local_ring(p: int, m: int) -> _LocalRing:
     return _LocalRing(p, m)
 
 
-class LocalCycloElement:
+class _ElementFields(NamedTuple):
+    p: int
+    m: int
+    precision: int
+    coeffs: tuple[int, ...]
+
+
+class LocalCycloElement(_ElementFields):
     """Immutable residue mod (Phi_{p^m}(x), p^precision)."""
 
-    __slots__ = ("p", "m", "precision", "coeffs", "ring")
+    __slots__ = ()
 
-    def __init__(self, p: int, m: int, precision: int, coeffs) -> None:
+    def __new__(cls, p: int, m: int, precision: int, coeffs) -> LocalCycloElement:
         precision = index(precision)
         if precision < 1:
             raise ValueError("precision must be >= 1")
@@ -159,18 +166,16 @@ class LocalCycloElement:
             c = ring.reduce(c)
         c = [x % pn for x in c]
         c += [0] * (e - len(c))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "coeffs", tuple(c[:e]))
-        object.__setattr__(self, "ring", ring)
+        return super().__new__(cls, p, m, precision, tuple(c))
 
-    def __setattr__(self, *_):
-        raise AttributeError("LocalCycloElement is immutable")
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace normalises too
 
-    def __reduce__(self):
-        # rebuild through __init__, which attaches the loading process's ring
-        return (LocalCycloElement, (self.p, self.m, self.precision, self.coeffs))
+    def __rmul__(self, other):  # int * element is a TypeError, not a tuple repetition
+        return NotImplemented
+
+    @property
+    def ring(self) -> _LocalRing:
+        return _local_ring(self.p, self.m)
 
     @property
     def e(self) -> int:
@@ -222,22 +227,6 @@ class LocalCycloElement:
             if k:
                 base = base * base
         return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalCycloElement):
-            return NotImplemented
-        return (self.p, self.m, self.precision, self.coeffs) == (
-            other.p,
-            other.m,
-            other.precision,
-            other.coeffs,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.precision, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"LocalCycloElement(p={self.p}, m={self.m}, N={self.precision}, {list(self.coeffs)})"
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

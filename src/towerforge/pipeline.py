@@ -34,12 +34,19 @@ TABLE_CASES = ((2, 7), (3, 4), (5, 3))
 _MAX_CACHED_CONDUCTOR = 2**20
 
 
-def _check_cacheable(conductor: int, factors: tuple[tuple[int, int], ...]) -> None:
+def _check_cacheable(
+    conductor: int, factors: tuple[tuple[int, int], ...], computed_at: str, method: str
+) -> None:
     """Raise ValueError unless h^-(conductor) = prod p^e may be cached.
 
     Both ``HminusCache.store`` and ``CacheEntry.from_json_line`` call this,
-    so the cache never holds a line that a load would reject.
+    so the cache never holds a line that a load would reject. Every number
+    must be an int (a JSON integer; not a bool) and both texts str: a load
+    takes a line as written, never coerces it.
     """
+    numbers = (conductor, *(n for pair in factors for n in pair))
+    if any(type(n) is not int for n in numbers) or any(type(t) is not str for t in (computed_at, method)):
+        raise ValueError(f"cache entry for conductor {conductor!r} is not integers and strings")
     if not 3 <= conductor <= _MAX_CACHED_CONDUCTOR or is_prime_power(conductor) is None:
         raise ValueError(f"conductor {conductor} is not a prime power in [3, {_MAX_CACHED_CONDUCTOR}]")
     # Hadamard: h^- = w |det| / (2q)^n for the n x n half-system matrix with
@@ -77,15 +84,10 @@ class CacheEntry(NamedTuple):
     def from_json_line(cls, line: str) -> "CacheEntry":
         """Parse and check one line; memoized on its text (a raise is not)."""
         payload = json.loads(line)
-        conductor = int(payload["conductor"])
-        factors = tuple((int(p), int(e)) for p, e in payload["h_minus"])
-        _check_cacheable(conductor, factors)
-        return cls(
-            conductor,
-            FactoredInteger(prod(p**e for p, e in factors), factors),
-            str(payload["computed_at"]),
-            str(payload["method"]),
-        )
+        conductor, computed_at, method = payload["conductor"], payload["computed_at"], payload["method"]
+        factors = tuple((p, e) for p, e in payload["h_minus"])
+        _check_cacheable(conductor, factors, computed_at, method)
+        return cls(conductor, FactoredInteger(prod(p**e for p, e in factors), factors), computed_at, method)
 
 
 class HminusCache:
@@ -120,9 +122,9 @@ class HminusCache:
             try:
                 entry = CacheEntry.from_json_line(line)
             # a line that decodes to the wrong shape raises TypeError ([1], "x",
-            # a non-list h_minus) or OverflowError (1e400 as an integer);
+            # a non-list h_minus) or ValueError (a field of the wrong type);
             # json.JSONDecodeError is a ValueError
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 torn = isinstance(exc, json.JSONDecodeError) and line.startswith("{")
                 if torn or i == len(lines) - 1:
                     continue
@@ -136,7 +138,7 @@ class HminusCache:
     def store(self, entry: CacheEntry) -> None:
         import fcntl  # POSIX only; imported here, as pathlib is
 
-        _check_cacheable(entry.conductor, entry.h_minus.factors)
+        _check_cacheable(entry.conductor, entry.h_minus.factors, entry.computed_at, entry.method)
         line = entry.to_json_line().encode("utf-8") + b"\n"
         try:
             with self.path.open("a+b") as handle:

@@ -344,6 +344,27 @@ class TestPrimitiveRootProduct:
                 g = [-c if i & 1 else c for i, c in enumerate(_fold(f, d))]
                 assert _unit_values_product(g, m, primes, ell) == unit_values_product(f, d, ell)
 
+    @pytest.mark.parametrize("d, count", [(15, 1), (98, 4), (243, 14), (682, 29)])
+    def test_draws_the_fewest_primes_past_the_parseval_limit(self, monkeypatch, d, count):
+        # the least k primes whose product M has M^2 phi^phi > 4 (d S)^phi,
+        # S the sum of the squared weights less the floor of their mean; count pinned
+        drawn = []
+
+        def recorded(n):
+            for ell in _crt_primes(n):
+                drawn.append(ell)
+                yield ell
+
+        monkeypatch.setattr(cyclotomic, "_crt_primes", recorded)
+        rng = random.Random(d)
+        w = [rng.randrange(-9, 10) for _ in range(d)]
+        primitive_root_product(d, w)
+        phi, shift = euler_phi(d), sum(w) // d
+        limit = 4 * (d * sum((c - shift) ** 2 for c in w)) ** phi
+        modulus = prod(drawn)
+        assert (modulus // drawn[-1]) ** 2 * phi**phi <= limit < modulus**2 * phi**phi
+        assert len(drawn) == count
+
     def test_one_factorize_per_call_and_none_in_the_kernel(self, monkeypatch):
         # d = 1, 2, powers of two, odd and even radicals, and a descent to each
         callers = []

@@ -311,6 +311,11 @@ class TestElementBasics:
     def test_never_equals_an_int(self):
         assert (LocalCycloElement(3, 1, 4, [1]) == 1) is False
 
+    def test_int_times_element_is_a_type_error(self):
+        # not the tuple repeated three times, as a tuple subclass would give
+        with pytest.raises(TypeError, match="unsupported operand"):
+            _ = 3 * LocalCycloElement(3, 1, 4, [1])
+
     def test_reduction_mod_cyclotomic(self):
         # zeta^2 + zeta + 1 = 0 in the p = 3, m = 1 ring
         z2 = LocalCycloElement(3, 1, 4, [0, 0, 1])

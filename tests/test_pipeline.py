@@ -128,8 +128,26 @@ class TestCache:
             '"x"',
             '{"conductor":4,"h_minus":5,"method":"product-formula","computed_at":"t"}',
             '{"conductor":1e400,"h_minus":[],"method":"product-formula","computed_at":"t"}',
+            # each of these was coerced by int() or str() and loaded
+            '{"conductor":7.9,"h_minus":[[2.5,1.0]],"method":"product-formula","computed_at":"t"}',
+            '{"conductor":"8","h_minus":[],"method":"product-formula","computed_at":"t"}',
+            '{"conductor":23,"h_minus":[["3","1"]],"method":"product-formula","computed_at":"t"}',
+            '{"conductor":23,"h_minus":[[3,true]],"method":"product-formula","computed_at":"t"}',
+            '{"conductor":8,"h_minus":[],"method":1,"computed_at":"t"}',
+            '{"conductor":8,"h_minus":[],"method":"product-formula","computed_at":null}',
         ],
-        ids=["list", "string", "non-list-factors", "infinite-conductor"],
+        ids=[
+            "list",
+            "string",
+            "non-list-factors",
+            "infinite-conductor",
+            "float-fields",
+            "string-conductor",
+            "string-factors",
+            "bool-exponent",
+            "number-method",
+            "null-timestamp",
+        ],
     )
     def test_interior_line_of_the_wrong_shape_raises(self, cache, line):
         valid = CacheEntry(4, factorize(1), "t", "product-formula").to_json_line()
@@ -187,8 +205,9 @@ class TestCache:
             CacheEntry(6, FactoredInteger(1, ()), "t", "product-formula"),
             CacheEntry(2**21, FactoredInteger(1, ()), "t", "product-formula"),
             CacheEntry(4, FactoredInteger(2**100, ((2, 100),)), "t", "product-formula"),
+            CacheEntry(23, FactoredInteger(3, ((3, True),)), "t", "product-formula"),
         ],
-        ids=["not-a-prime-power", "above-cap", "above-hadamard-bound"],
+        ids=["not-a-prime-power", "above-cap", "above-hadamard-bound", "bool-exponent"],
     )
     def test_store_refuses_a_line_load_would_reject(self, cache, entry):
         cache.store(CacheEntry(4, factorize(1), "t", "product-formula"))

@@ -10,7 +10,7 @@ from test_cli import cli_env
 
 from towerforge.arith import FactoredInteger, factorize
 from towerforge.criteria import TowerCandidate, verify_candidate
-from towerforge.local import KummerClass
+from towerforge.local import KummerClass, LocalCycloElement
 from towerforge.pipeline import CacheEntry, SearchResult, TableRow, _now
 
 
@@ -22,6 +22,7 @@ def _records():
         report.candidate,
         report,
         KummerClass(0, 3),
+        LocalCycloElement(3, 2, 5, [1, 2, 3, 4, 5, 7]),
         CacheEntry(128, h_minus, "2026-01-01T00:00:00+00:00", "product-formula"),
         TableRow.from_report(report),
         SearchResult((report,), ((256, "conductor budget 128 exceeded for m = 8"),), True),
@@ -32,8 +33,8 @@ RECORDS = _records()
 by_name = pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
 
 
-def test_seven_distinct_records():
-    assert len({type(record) for record in RECORDS}) == 7
+def test_eight_distinct_records():
+    assert len({type(record) for record in RECORDS}) == 8
 
 
 class TestRecordContract:
@@ -68,6 +69,10 @@ class TestRecordContract:
         value, factors = twelve
         assert (value, factors) == twelve == (12, ((2, 2), (3, 1)))
         assert repr(KummerClass(1, None)) == "KummerClass(v_mod_p=1, kappa=None)"
+        element = LocalCycloElement(3, 1, 2, [10, 20])
+        assert repr(element) == "LocalCycloElement(p=3, m=1, precision=2, coeffs=(1, 2))"
+        p, m, precision, coeffs = element
+        assert (p, m, precision, coeffs) == element == (3, 1, 2, (1, 2))
 
 
 class TestCertifiedConstruction:
@@ -96,6 +101,13 @@ class TestCertifiedConstruction:
 
     def test_keyword_construction(self):
         assert FactoredInteger(value=12, factors=((2, 2), (3, 1))) == factorize(12)
+
+    def test_local_element_replace_normalises_too(self):
+        element = LocalCycloElement(3, 1, 2, [1, 2])
+        assert element._replace(coeffs=(10, 20)) == element  # mod p^N = 9
+        assert element._replace(coeffs=[0, 0, 1]) == LocalCycloElement(3, 1, 2, [-1, -1])  # mod Phi_3
+        with pytest.raises(ValueError, match="^precision must be >= 1$"):
+            element._replace(precision=0)
 
 
 def test_cache_timestamp_format():
