@@ -23,6 +23,11 @@ j >= r. The c_j are Z-linear in the coefficients, so x = y mod pi^l iff the
 c_j of x and y agree modulo those powers: the tuple of reduced c_j is the key
 of x at level l. It needs N >= k + 1 (or k when r = 0).
 
+A unit is read off its coefficient sum: as zeta = 1 (mod pi),
+x = sum c_i zeta^i = sum c_i (mod pi), and O/pi = F_p, so x is a unit exactly
+when its coefficient sum is prime to p, at every precision; zero is a
+non-unit like any other.
+
 The kappa invariant (deepest level l at which a unit is congruent to a p-th
 power mod pi^l) is read from a table of the keys of all p-th powers of units,
 built once per ring on first use. With top = kappa_cap(p, m), the table holds
@@ -200,20 +205,29 @@ class LocalCycloElement(_ElementFields):
         if (self.p, self.m) != (other.p, other.m):
             raise ValueError("ring mismatch")
 
-    def __add__(self, other: "LocalCycloElement") -> "LocalCycloElement":
+    def _combine(self, other, symbol: str, op) -> "LocalCycloElement":
+        """op on both coefficient tuples, at the lower precision.
+
+        A non-element on the right is a TypeError, worded as Python words it.
+        Returning NotImplemented would hand ``x * (1, 2)`` to tuple repetition,
+        which refuses it as "can't multiply sequence by non-int" instead.
+        """
+        if not isinstance(other, LocalCycloElement):
+            raise TypeError(
+                f"unsupported operand type(s) for {symbol}: "
+                f"'LocalCycloElement' and '{type(other).__name__}'"
+            )
         self._check_compatible(other)
-        prec = min(self.precision, other.precision)
-        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)], prec)
+        return self._like(op(self.coeffs, other.coeffs), min(self.precision, other.precision))
+
+    def __add__(self, other: "LocalCycloElement") -> "LocalCycloElement":
+        return self._combine(other, "+", lambda a, b: [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "LocalCycloElement") -> "LocalCycloElement":
-        self._check_compatible(other)
-        prec = min(self.precision, other.precision)
-        return self._like([a - b for a, b in zip(self.coeffs, other.coeffs)], prec)
+        return self._combine(other, "-", lambda a, b: [x - y for x, y in zip(a, b)])
 
     def __mul__(self, other: "LocalCycloElement") -> "LocalCycloElement":
-        self._check_compatible(other)
-        prec = min(self.precision, other.precision)
-        return self._like(_poly_mul(self.coeffs, other.coeffs), prec)
+        return self._combine(other, "*", _poly_mul)
 
     def __pow__(self, k: int) -> "LocalCycloElement":
         if k < 0:
@@ -261,7 +275,13 @@ def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
 
     Costs t units of p-adic precision: multiply by the cofactor (p/pi)^t, whose
     closed form the element's own ring holds (``_LocalRing.cofactor``), then
-    strip the known factor p^t from every coefficient.
+    strip the factor p^t from every coefficient. Exactness is read off that
+    product, for 0 < t < N (t >= N is refused first). The power basis is a
+    Z_p-basis of O, so when pi^t | x, x (p/pi)^t = p^t (x/pi^t) lies in p^t O
+    and p^t divides every coefficient. When v = v(x) < t, x (p/pi)^t has
+    valuation e t - (t - v) < e t, so it does not lie in p^t O + p^N O = p^t O
+    and some coefficient is not divisible by p^t. ``pi_valuation`` runs only
+    to word the refusal.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -269,19 +289,21 @@ def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
         return element
     if element.precision <= t:
         raise PrecisionError(f"need precision > {t} to divide by pi^{t}")
-    v = pi_valuation(element)
-    if v < t:
-        raise ValueError(f"valuation {v} is below {t}; division is not exact")
     scaled = element * element._like(element.ring.cofactor) ** t
     pt = element.p**t
-    assert all(c % pt == 0 for c in scaled.coeffs)
+    if element.is_zero() or any(c % pt for c in scaled.coeffs):
+        raise ValueError(f"valuation {pi_valuation(element)} is below {t}; division is not exact")
     return LocalCycloElement(
         element.p, element.m, element.precision - t, [c // pt for c in scaled.coeffs]
     )
 
 
 def check_kappa_domain(p: int, m: int, l_max: int) -> None:
-    """Refuse (p, m, l_max) outside the exhaustive kappa search (ValueError), before p^m is formed."""
+    """Refuse (p, m, l_max) outside the p-th-power table's rings and levels (ValueError).
+
+    Runs before p^m is formed. The first refusal still reads "exhaustive kappa
+    search", as the ``kappa`` subcommand prints it and the CLI tests pin it.
+    """
     if p not in _SEARCH_PRIMES or m not in _SEARCH_EXPONENTS:
         raise ValueError(
             f"exhaustive kappa search is limited to p in {_SEARCH_PRIMES}, m in {_SEARCH_EXPONENTS}"
@@ -302,10 +324,8 @@ def kappa(x: LocalCycloElement, l_max: int) -> int:
     The ring's table holds the key of every gamma^p mod pi^l over all units
     gamma (see the module docstring). Requires l_max + e of resolvable
     valuation (safety margin of one ramification index), which also makes
-    every key up to l_max well defined, and a unit x. As zeta = 1 (mod pi),
-    x = sum c_i zeta^i = sum c_i (mod pi), and O/pi = F_p, so x is a unit
-    exactly when its coefficient sum is prime to p, at every precision; zero
-    is a non-unit like any other.
+    every key up to l_max well defined, and a unit x, read off its
+    coefficient sum (see the module docstring).
     """
     check_kappa_domain(x.p, x.m, l_max)
     if x.cap < l_max + x.e:
@@ -356,14 +376,15 @@ def check_kummer_class_invariance(
 ) -> bool:
     """Invariance of the Kummer class under multiplication by deep p-th powers.
 
-    Every cofactor must be a unit that is a p-th power to the full searched
-    depth; that precondition is reported distinctly when violated.
+    Every cofactor must be a unit, read off its coefficient sum (see the
+    module docstring), that is a p-th power to the full searched depth; that
+    precondition is reported distinctly when violated.
     """
     cap = kappa_cap(x_target.p, x_target.m)
     product = x_target
     for i, cofactor in enumerate(cofactors):
         x_target._check_compatible(cofactor)
-        if pi_valuation(cofactor) != 0:
+        if sum(cofactor.coeffs) % cofactor.p == 0:
             raise CofactorError(f"cofactor {i} is not a unit")
         if kappa(cofactor, cap) != cap:
             raise CofactorError(f"cofactor {i} is not a p-th power to level {cap}")

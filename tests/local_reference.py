@@ -1,11 +1,12 @@
-"""Reference oracles for kappa: exhaustive enumerations of units.
+"""Reference oracles for kappa, and division by pi checked by valuation.
 
 ``kappa`` enumerates, for each level l, every unit gamma mod pi^l and tests
 whether gamma^p - x has valuation >= l. ``pth_powers`` builds a ring's table
 of p-th-power keys from every unit gamma mod pi^kappa_cap. The package reads
 kappa from a per-ring table that it builds as a subgroup closure instead;
 these slower, independent definitions stay here so the tests can check the
-table against them.
+table against them. ``divide_by_pi`` checks exactness by a pi-valuation
+before dividing, where the package reads it off the product it forms.
 """
 
 from __future__ import annotations
@@ -19,6 +20,25 @@ from towerforge.local import (
     kappa_cap,
     pi_valuation,
 )
+
+
+def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
+    """Exact division by pi^t, refused by ``pi_valuation`` when v(x) < t."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
+        return element
+    if element.precision <= t:
+        raise PrecisionError(f"need precision > {t} to divide by pi^{t}")
+    v = pi_valuation(element)
+    if v < t:
+        raise ValueError(f"valuation {v} is below {t}; division is not exact")
+    scaled = element * element._like(element.ring.cofactor) ** t
+    pt = element.p**t
+    assert all(c % pt == 0 for c in scaled.coeffs)
+    return LocalCycloElement(
+        element.p, element.m, element.precision - t, [c // pt for c in scaled.coeffs]
+    )
 
 
 def _pth_power_residues(x: LocalCycloElement, level: int):

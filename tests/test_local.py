@@ -118,6 +118,26 @@ class TestDivideByPi:
         with pytest.raises(PrecisionError):
             divide_by_pi(pi * pi, 2)
 
+    @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
+    def test_matches_the_valuation_reference_on_a_seeded_grid(self, p, m):
+        # x = u pi^k for every k up to e N + 1 (zero from k = e N on) and every
+        # t in -1..N + 1: the same quotient, or the same refusal, word for word
+        def outcome(divide, x, t):
+            try:
+                return divide(x, t)
+            except (ValueError, PrecisionError) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(1000 * p + m)
+        for precision in range(1, 5):
+            pi = LocalCycloElement.pi(p, m, precision)
+            unit = random_unit(rng, p, m, precision)
+            for k in range(pi.cap + 2):
+                x = unit * pi**k
+                for t in range(-1, precision + 2):
+                    expected = outcome(local_reference.divide_by_pi, x, t)
+                    assert outcome(divide_by_pi, x, t) == expected, (x, t)
+
 
 class TestKappa:
     def test_one_reaches_lmax(self):
@@ -293,6 +313,32 @@ class TestKummerClassInvariance:
         with pytest.raises(CofactorError):
             check_kummer_class_invariance(u, [LocalCycloElement.pi(3, 1, 8)])
 
+    def test_zero_cofactor_is_not_a_unit(self):
+        # its coefficient sum 0 is divisible by p, so it is refused as a non-unit
+        u = LocalCycloElement(3, 1, 8, [1])
+        with pytest.raises(CofactorError, match="^cofactor 1 is not a unit$"):
+            check_kummer_class_invariance(u, [u, LocalCycloElement(3, 1, 8, [0])])
+
+    def test_pi_basis_passes_in_one_seeded_call(self, monkeypatch):
+        # one pass per cofactor (its kappa) and two per Kummer class (the
+        # valuation, then kappa of the unit part); the valuation of v = 3
+        # is not read again to divide by pi^3
+        rng = random.Random(32)
+        p, m, precision = 3, 2, 6
+        target = random_unit(rng, p, m, precision) * LocalCycloElement.pi(p, m, precision) ** 3
+        cofactors = [random_unit(rng, p, m, precision) ** p for _ in range(2)]
+        _local_ring(p, m).pth_powers  # build the table first, so the count is this call's alone
+        passes = []
+        t_basis = _LocalRing.t_basis
+
+        def counted(ring, coeffs, modulus):
+            passes.append(modulus)
+            return t_basis(ring, coeffs, modulus)
+
+        monkeypatch.setattr(_LocalRing, "t_basis", counted)
+        assert check_kummer_class_invariance(target, cofactors)
+        assert len(passes) == 2 * 1 + 2 * 2
+
 
 class TestElementBasics:
     def test_immutability(self):
@@ -316,6 +362,15 @@ class TestElementBasics:
         with pytest.raises(TypeError, match="unsupported operand"):
             _ = 3 * LocalCycloElement(3, 1, 4, [1])
 
+    @pytest.mark.parametrize("operand", [3, (1, 2), None], ids=["int", "tuple", "None"])
+    @pytest.mark.parametrize("symbol", ["+", "-", "*"])
+    def test_non_element_on_the_right_is_a_type_error(self, symbol, operand):
+        apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[symbol]
+        name = type(operand).__name__
+        message = f"^unsupported operand type\\(s\\) for \\{symbol}: 'LocalCycloElement' and '{name}'$"
+        with pytest.raises(TypeError, match=message):
+            apply(LocalCycloElement(3, 1, 4, [1]), operand)
+
     def test_reduction_mod_cyclotomic(self):
         # zeta^2 + zeta + 1 = 0 in the p = 3, m = 1 ring
         z2 = LocalCycloElement(3, 1, 4, [0, 0, 1])
@@ -330,8 +385,9 @@ class TestElementBasics:
     def test_ring_mismatch(self):
         a = LocalCycloElement(3, 1, 4, [1])
         b = LocalCycloElement(2, 2, 4, [1])
-        with pytest.raises(ValueError):
-            _ = a * b
+        for apply in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValueError, match="^ring mismatch$"):
+                apply()
 
     @pytest.mark.parametrize(
         "p, m, message",
