@@ -77,10 +77,14 @@ recomputed from scratch two independent ways, both in integers only:
 
   Bound. Hadamard's inequality |det M|^2 <= prod_i sum_j M_ij^2 gives
   (det B)^2 <= 4q^2 prod_i sum_j M_ij^2 / (2q)^(2n). ``integer_det`` computes
-  det B by elimination modulo certified primes l > 2q, with every row packed
-  into one int, until their product exceeds twice the square root of this
-  bound. At q = 343 that gives |det B| < 2^276, where Hadamard on M alone
-  gives 2^1651: 4 primes do instead of 21.
+  det B by one elimination modulo a certified prime l > 2q, with every row
+  packed into one int. At q = 343 the bound gives |det B| < 2^276, where
+  Hadamard on M alone gives 2^1651, so CRT alone would need 4 primes, not 21.
+  Instead the elimination also solves B x = e_1 l-adically, and the verified
+  solution's denominator D divides det B; here it is nearly all of it (det/D
+  is 1 at 243 and 343, 2 at 256 and 512, and at most 277, at 139, for
+  q <= 200), so only det/D is reconstructed, and one prime does at every
+  q <= 512.
 """
 
 from __future__ import annotations

@@ -10,8 +10,13 @@ Miller-Rabin bound (``_crt_primes``), each sieved by small primes and then
 proven prime by one exponentiation (``pocklington_prime``), and end in one
 reconstruction, ``_crt_reconstruct``: Chinese remaindering until the modulus
 exceeds twice a proven bound, then the symmetric lift. ``integer_det`` (it
-serves the h^- determinant oracle) eliminates over F_l with each row packed
-into one int, under Hadamard's bound or a tighter one the caller proves.
+serves the h^- determinant oracle) eliminates once, over F_l for the first
+prime, with each row packed into one int. When one prime would not do, that
+elimination also solves B x = e_1 l-adically (Dixon, 1982); the verified
+rational solution's denominator D divides det B (Cramer), and only
+t = det/D is reconstructed, under the caller's bound on det^2 divided by
+D^2 (Abbott, Bronstein and Mulders, ISSAC 1999). For the oracle's matrices
+D is nearly all of det, so l_1 alone usually gives t.
 ``primitive_root_product`` is the norm of W(zeta_d), with every polynomial
 held mod x^(d/2) + 1 (even d) or x^d - 1 (odd d), never mod Phi_d. It
 descends the tower Q(zeta_d) > Q(zeta_{d/r}) > ... in exact integers, one
@@ -25,10 +30,10 @@ Neither kernel uses anything but integers.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
-from itertools import compress
-from math import gcd, lcm, prod
-from operator import index
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress
+from math import gcd, isqrt, lcm, prod
+from operator import index, mul
 
 from .arith import _MR_BOUND, _POCKLINGTON_BITS, _SMALL_ODD_PRIMES, _least_witness, factorize, pocklington_prime
 
@@ -144,7 +149,7 @@ def _crt_reconstruct(residue: Callable[[int], int], primes: Iterator[int], limit
     return value - modulus if 2 * value > modulus else value
 
 
-def _det_mod(matrix: Sequence[Sequence[int]], ell: int) -> int:
+def _det_mod(matrix: Sequence[Sequence[int]], ell: int, steps: list | None = None) -> int:
     """det(matrix) mod the prime ell, by Gaussian elimination on packed rows.
 
     Each row is one int with one slot of ``width`` bytes per column, the
@@ -157,16 +162,16 @@ def _det_mod(matrix: Sequence[Sequence[int]], ell: int) -> int:
     most n - 1 steps, so they stay non-negative and below n ell^2 <
     2^(2 bitlen(ell) + bitlen(n + 1)) <= 2^s: no slot ever carries into the
     next, and each slot stays congruent to its entry of the eliminated matrix.
+
+    Given a list ``steps``, step k appends (j, 1/pivot, F, P): the pivot
+    row was k + j, F packs the f of rows k + 1.. and P is packed as above.
+    That is the factorization ``_lifted_divisor`` solves from.
     """
     n = len(matrix)
-    width = (2 * ell.bit_length() + (n + 1).bit_length() + 7) // 8
+    width = _slot_bytes(ell, n)
     shift = 8 * width
     mask = (1 << shift) - 1
-
-    def pack(values) -> int:
-        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-    rows = [pack(x % ell for x in row) for row in matrix]
+    rows = [_pack((x % ell for x in row), width) for row in matrix]
     det = 1
     for k in range(n):
         pivot_index = next((i for i in range(k, n) if (rows[i] & mask) % ell), None)
@@ -179,26 +184,141 @@ def _det_mod(matrix: Sequence[Sequence[int]], ell: int) -> int:
         pivot = int.from_bytes(data[:width], "little") % ell
         det = det * pivot % ell
         scale = ell - pow(pivot, -1, ell)
-        packed = pack(
-            int.from_bytes(data[j : j + width], "little") * scale % ell
-            for j in range(width, len(data), width)
-        )
+        tail = range(width, len(data), width)
+        packed = _pack((int.from_bytes(data[j : j + width], "little") * scale % ell for j in tail), width)
+        if steps is not None:
+            factors = _pack(((r & mask) % ell for r in rows[k + 1 :]), width)
+            steps.append((pivot_index - k, ell - scale, factors, packed))
         rows[k + 1 :] = [(r >> shift) + (r & mask) % ell * packed for r in rows[k + 1 :]]
     return det % ell
 
 
-def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None) -> int:
-    """Determinant of a square integer matrix, exact, from its residues mod primes.
+def _slot_bytes(ell: int, n: int) -> int:
+    """Bytes per slot of ``_det_mod``'s packed rows: 2 bitlen(ell) + bitlen(n + 1) bits, rounded up."""
+    return (2 * ell.bit_length() + (n + 1).bit_length() + 7) // 8
 
-    ``square_bound`` must be at least det^2; it defaults to Hadamard's bound
-    prod_i sum_j m_ij^2. Each prime l comes from ``_crt_primes(1)``: it lies
-    below the deterministic Miller-Rabin bound and is proven prime by
-    ``pocklington_prime``. ``_det_mod`` gives det mod l, and ``_crt_reconstruct`` lifts
-    the residues once their modulus exceeds 2 sqrt(square_bound).
+
+def _pack(values: Iterable[int], width: int) -> int:
+    """sum v_i 2^(8 width i), each 0 <= v_i < 2^(8 width) one little-endian slot of ``width`` bytes."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
+def _lifted_divisor(matrix: Sequence[Sequence[int]], steps: list, ell: int, cap: int) -> int:
+    """A proven divisor D >= 1 of det(matrix), the denominator of B^-1 e_1; 1 if no candidate verifies.
+
+    ``steps`` are those ``_det_mod(matrix, ell, steps)`` recorded for
+    det B = det(matrix) not 0 mod ell, so B is invertible mod ell; each P_k
+    is dropped from them once transposed. Dixon's lifting (Numer. Math. 40,
+    1982): from r_0 = e_1, x_i = B^-1 r_i mod ell and
+    r_(i+1) = (r_i - B x_i)/ell, exact since B x_i = r_i (mod ell). By
+    induction B X_s = e_1 - ell^s r_s over Z for X_s = sum_(i<s) x_i ell^i,
+    so B X_s = e_1 (mod ell^s).
+
+    Each x_i replays the elimination on packed ints of its slot width. The
+    forward pass swaps slots as the pivots did and adds f (ell - z_k) to the
+    rows below, z_k = y_k / pivot_k, so slots grow as in ``_det_mod``. Back
+    substitution is x_k = z_k + P_k . (x_(k+1), ..., x_(n-1)), taken by
+    columns: the P_k are transposed once, and x_j times column j (slot k
+    holding P_k's entry in column j) is added to a packed sum whose slot k
+    stays below n ell^2.
+
+    After each step the vector X_s mod ell^s is read as N/den (Wang's
+    half-extended Euclid, numerators and denominator below
+    sqrt(ell^s / 2), each entry's reconstruction starting from the
+    denominator found so far). A candidate counts only if B N = den e_1
+    holds exactly over Z; then N/den is x = B^-1 e_1, and D = den /
+    gcd(den, N_1, ..., N_n) is its least common denominator, since the
+    integers k with k x in Z^n form an ideal and D generates it. By Cramer's
+    rule det B x = adj(B) e_1 is integral, so D | det B. Lifting stops once
+    ell^s exceeds ``cap``, twice Hadamard's bound H, which bounds den^2 and
+    every N_i^2 (N_i is a minor of B). Correctness never depends on the
+    lifting succeeding.
     """
-    if square_bound is None:
-        square_bound = prod(sum(x * x for x in row) for row in matrix)
-    return _crt_reconstruct(lambda ell: _det_mod(matrix, ell), _crt_primes(1), 4 * square_bound)
+    n = len(matrix)
+    width = _slot_bytes(ell, n)
+    shift = 8 * width
+    mask = (1 << shift) - 1
+    # cols[j] gathers column j of the P_k, slot k for k < j; each P_k is
+    # dropped from ``steps`` once appended
+    cols = [bytearray() for _ in range(n)]
+    for k in range(n):
+        j, inverse, factors, packed = steps[k]
+        steps[k] = j, inverse, factors
+        data = packed.to_bytes(width * (n - k - 1), "little")
+        for column, start in zip(cols[k + 1 :], range(0, len(data), width)):
+            column += data[start : start + width]
+    residual = [1] + [0] * (n - 1)
+    lifted = [0] * n
+    modulus = 1
+    while modulus <= cap:
+        y = _pack((r % ell for r in residual), width)
+        z = []
+        for j, inverse, factors in steps:
+            if j:  # swap slots 0 and j
+                low, high = y & mask, y >> shift * j & mask
+                y += high - low + (low - high << shift * j)
+            z.append((y & mask) * inverse % ell)
+            y = (y >> shift) + (ell - z[-1]) * factors
+        x, sums = [0] * n, 0  # slot i of sums: P_i . (x_(k+1), ..., x_(n-1))
+        for k in range(n - 1, -1, -1):
+            x[k] = (z[k] + (sums >> shift * k & mask)) % ell
+            sums += x[k] * int.from_bytes(cols[k], "little")
+        residual = [(r - sum(map(mul, row, x))) // ell for r, row in zip(residual, matrix)]
+        lifted = [v + modulus * c for v, c in zip(lifted, x)]
+        modulus *= ell
+        half = modulus >> 1
+        bound, den = isqrt(half), 1
+        for v in lifted:  # r_i = s_i den v (mod modulus)
+            r0, r1, s0, s1 = modulus, den * v % modulus, 0, 1
+            while r1 >= bound:
+                quotient = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - quotient * r1, s1, s0 - quotient * s1
+            den *= abs(s1)
+            if den >= bound:
+                break
+        numerators = [(den * v + half) % modulus - half for v in lifted]
+        if max(den, *map(abs, numerators)) < bound and all(
+            sum(map(mul, row, numerators)) == (den if i == 0 else 0) for i, row in enumerate(matrix)
+        ):
+            return den // gcd(den, *numerators)
+    return 1
+
+
+def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None) -> int:
+    """Determinant of a square integer matrix, exact, from one elimination and a p-adic solve.
+
+    A non-square or ragged matrix raises ValueError, a non-integer entry
+    TypeError (``operator.index``). ``square_bound`` must be at least det^2;
+    it defaults to Hadamard's bound H = prod_i sum_j m_ij^2. Each prime l
+    comes from ``_crt_primes(1)``: it lies below the deterministic
+    Miller-Rabin bound and is proven prime by ``pocklington_prime``.
+
+    ``_det_mod`` gives det mod l_1. If that is 0, or if
+    4 square_bound < l_1^2 so that l_1 alone decides, D = 1. Otherwise it
+    records its steps, from which ``_lifted_divisor`` proves a divisor D of
+    det. Then t = det/D has 4 t^2 <= 4 square_bound / D^2 and, 4 t^2 being
+    an integer, at most its floor, the limit ``_crt_reconstruct`` is given.
+    The residues of t are det mod l times D^-1. l_1's residue is reused (l_1
+    does not divide D, as D | det), and a later prime dividing D has no
+    inverse, so it is skipped. The result is D t.
+    """
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError(f"not a square matrix: a row of {len(row)} entries among {n} rows")
+        list(map(index, row))  # TypeError on a non-integer entry
+    hadamard = prod(sum(map(mul, row, row)) for row in matrix)
+    limit = 4 * (hadamard if square_bound is None else square_bound)
+    primes = _crt_primes(1)
+    first = next(primes)
+    steps = [] if first * first <= limit else None
+    det = _det_mod(matrix, first, steps)
+    divisor = _lifted_divisor(matrix, steps, first, 2 * hadamard) if det and steps is not None else 1
+    return divisor * _crt_reconstruct(
+        lambda ell: (det if ell == first else _det_mod(matrix, ell)) * pow(divisor, -1, ell) % ell,
+        chain([first], (ell for ell in primes if divisor % ell)),
+        limit // divisor**2,
+    )
 
 
 def _fold(f: list, d: int) -> list:

@@ -13,7 +13,7 @@ import pytest
 from cyclo_reference import CycloElement, bareiss_det, characters, gen_bernoulli_b1
 from test_cli import _cap_address_space, cli_env
 
-from towerforge import arith
+from towerforge import arith, cyclotomic
 from towerforge.arith import FactoredInteger, euler_phi, factorize, is_prime
 from towerforge.characters import (
     _bordered_system,
@@ -336,6 +336,15 @@ class TestBorderedIdentity:
             det_b = bareiss_det(bordered)
             assert integer_det(bordered) == det_b, q
             assert 2 * q * bareiss_det(matrix) == (-2 * q) ** n * det_b, q
+
+    @pytest.mark.parametrize("p, m", [(3, 5), (2, 8), (7, 3), (2, 9)])
+    def test_one_elimination_per_oracle_determinant(self, p, m, monkeypatch):
+        q, seen, real = p**m, [], cyclotomic._det_mod
+        monkeypatch.setattr(cyclotomic, "_det_mod", lambda *args: seen.append(args[1]) or real(*args))
+        det_b = integer_det(*_bordered_system(q))
+        assert seen == [next(cyclotomic._crt_primes(1))], q
+        w = q if q % 2 == 0 else 2 * q
+        assert w * abs(det_b) == 2 * q * hminus_product(p, m), q
 
 
 class TestOrbitGroupingInvariance:

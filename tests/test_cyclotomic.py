@@ -223,9 +223,91 @@ class TestIntegerDet:
             assert integer_det(m) == 1
             assert _det_mod(m, ell) == 1
 
+    def test_the_lift_at_the_slot_ceiling(self, monkeypatch):
+        # scaling row 0 by s makes B^-1 e_1 = (ceiling^-1 e_1)/s, so the lift
+        # verifies only if its forward pass survives the same slot growth
+        found = self.record_divisors(monkeypatch)
+        for scale in (3, 2**90 + 1):
+            m = ceiling_matrix(64)
+            m[0] = [scale * x for x in m[0]]
+            assert integer_det(m) == scale
+            assert found[-1] == scale
+
     def test_caller_bound(self):
         m = [[2, 1], [1, 2]]
         assert integer_det(m, 9) == 3
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            ([[1, 2], [3, 4], [5, 6]], ValueError),  # 3 x 2
+            ([[1, 2], [3]], ValueError),  # ragged
+            ([[1, 2, 3], [4, 5, 6]], ValueError),  # 2 x 3
+            ([[1, 2], [3, 4.0]], TypeError),
+            ([[1, 2], [3, "4"]], TypeError),
+        ],
+    )
+    def test_malformed_matrices_are_refused(self, matrix, error):
+        with pytest.raises(error):
+            integer_det(matrix)
+
+    @staticmethod
+    def record_divisors(monkeypatch) -> list:
+        """Patch ``_lifted_divisor`` to record each divisor it proves."""
+        found, real = [], cyclotomic._lifted_divisor
+
+        def recording(*args):
+            found.append(real(*args))
+            return found[-1]
+
+        monkeypatch.setattr(cyclotomic, "_lifted_divisor", recording)
+        return found
+
+    @staticmethod
+    def record_primes(monkeypatch) -> list:
+        """Patch ``_det_mod`` to record the prime of each elimination."""
+        seen, real = [], cyclotomic._det_mod
+
+        def recording(matrix, ell, *steps):
+            seen.append(ell)
+            return real(matrix, ell, *steps)
+
+        monkeypatch.setattr(cyclotomic, "_det_mod", recording)
+        return seen
+
+    def test_the_lifted_divisor_divides_det(self, monkeypatch):
+        found = self.record_divisors(monkeypatch)
+        rng = random.Random(19)
+        for n in range(1, 13):
+            for bits in (20, 100):
+                m = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
+                found.clear()
+                self.check(m, naive=n <= 8)
+                assert all(bareiss_det(m) % divisor == 0 for divisor in found), (n, bits)
+                # with Hadamard's bound above l^2 / 4 the lift runs, and succeeds
+                assert bits < 100 or found[0] > 1, n
+
+    def test_det_divisible_by_the_first_prime_skips_the_lift(self, monkeypatch):
+        ell = next(_crt_primes(1))
+        monkeypatch.setattr(cyclotomic, "_lifted_divisor", lambda *args: pytest.fail("lifted a singular system"))
+        for m in ([[ell, 0], [0, 1]], [[ell, 1], [3 * ell, 2]], [[ell * ell, 5], [7 * ell, ell]]):
+            self.check(m)
+            assert integer_det(m) != 0
+
+    def test_a_prime_dividing_the_lifted_divisor_is_skipped(self, monkeypatch):
+        first, second, third = islice(_crt_primes(1), 3)
+        found, seen = self.record_divisors(monkeypatch), self.record_primes(monkeypatch)
+        # the caller's bound leaves t = det/D two primes' worth of room
+        assert integer_det([[second, 0], [0, 1]], (first * second) ** 2) == second
+        assert found == [second] and seen == [first, third]
+
+    def test_a_unimodular_matrix_lifts_to_divisor_one(self, monkeypatch):
+        found = self.record_divisors(monkeypatch)
+        a, b = 3**50, -(5**40)
+        m = [[1 + a * b, a, 0], [b, 1, 0], [7, 11, 1]]  # det 1, Hadamard's bound above l^2
+        assert integer_det(m) == bareiss_det(m) == 1
+        assert found == [1]
+
 
 class TestResultant:
     def test_hand_values(self):
