@@ -6,8 +6,8 @@ big-integer product by Kronecker substitution above that (its slot bound is
 proved there). ``_fold`` is their one reduction, mod x^(d/2) + 1 (even d) or
 x^d - 1 (odd d); the local ring reduces mod Phi_{p^m} through it too. Both
 kernels work modulo primes l = k 2^41 + 1 below the deterministic
-Miller-Rabin bound (``_crt_primes``), each sieved by small primes and then
-proven prime by one exponentiation (``pocklington_prime``), and end in one
+Miller-Rabin bound (``_crt_primes``), each sieved by small primes and
+proven prime once per process (``pocklington_prime``), and end in one
 reconstruction, ``_crt_reconstruct``: Chinese remaindering until the modulus
 exceeds twice a proven bound, then the symmetric lift. ``integer_det`` (it
 serves the h^- determinant oracle) eliminates once, over F_l for the first
@@ -24,14 +24,15 @@ relative norm per repeated prime factor r, down to rad(d) (the field-norm
 descent of Pornin and Prest, PKC 2019); at rad(d) <= 2 that is exact.
 Otherwise it takes f(-x) for an even rad(d) = 2m and the values mod l at
 all primitive m-th roots (m = rad(d) when odd) from one cyclic correlation,
-a chirp-z transform (Bluestein, 1970), under a bound proved for the original W.
-Neither kernel uses anything but integers.
+a chirp-z transform (Bluestein, 1970) with omega memoized per (l, m), under
+a bound proved for the original W. Neither kernel uses anything but integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, compress
+from functools import cache
+from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 
@@ -92,46 +93,40 @@ def _poly_mul(a: list, b: list) -> list:
     )
 
 
-# d -> the proven primes l = 1 (mod lcm(d, 2^41)), each once, in the order
-# ``_crt_primes(d)`` walks them
-_crt_prime_cache: dict[int, list[int]] = {}
+_CRT_BLOCK = 32  # k per memoized block, proven whole, so a small block wastes few proofs
 
-_SIEVE_BLOCK = 256
+
+@cache
+def _sieve_roots(step: int) -> tuple[tuple[int, int], ...]:
+    """(r, -1/step mod r) for each odd sieve prime r not dividing step."""
+    return tuple((r, -pow(step, -1, r) % r) for r in _SMALL_ODD_PRIMES if step % r)
+
+
+@cache
+def _crt_prime_block(step: int, k: int) -> tuple[int, ...]:
+    """The primes j step + 1 for max(k - _CRT_BLOCK, 0) < j <= k, descending, each proven."""
+    size = min(k, _CRT_BLOCK)  # slot t holds k - t
+    alive = bytearray(b"\x01") * size
+    for r, root in _sieve_roots(step):
+        start = (k - root) % r
+        alive[start::r] = bytes(len(range(start, size, r)))
+    return tuple(filter(pocklington_prime, ((k - t) * step + 1 for t in compress(range(size), alive))))
 
 
 def _crt_primes(d: int) -> Iterator[int]:
     """Primes l = 1 (mod lcm(d, 2^41)) below the deterministic Miller-Rabin bound, descending.
 
     The walk starts below ``_MR_BOUND`` (< 2^82), which fixes the size of
-    every prime, residue and slot width of both kernels. Each candidate
-    l = k L + 1, L = lcm(d, 2^41), is proven prime or passed over by
-    ``pocklington_prime``, so the list is a pure function of d: the primes
-    found are memoized and a later walk certifies only the primes past the
-    end of every earlier one. Candidates are taken in blocks of k: an odd
-    sieve prime r not dividing d divides k L + 1 exactly when k = -1/L
-    (mod r), and such a candidate (above 2^41 > r) is composite, so only the
-    rest are handed to ``pocklington_prime``.
+    every prime, residue and slot width of both kernels. Candidates
+    l = k L + 1, L = lcm(d, 2^41), come in blocks of ``_CRT_BLOCK`` k from
+    the top, each a pure function of (L, k) proven once per process
+    (``_crt_prime_block``). An odd sieve prime r not dividing L divides
+    k L + 1 exactly when k = -1/L (mod r), and such a candidate (above
+    2^41 > r) is composite, so only the rest go to ``pocklington_prime``.
     """
-    found = _crt_prime_cache.setdefault(d, [])
-    ell = 0
-    for ell in found:
-        yield ell
     step = lcm(d, 1 << _POCKLINGTON_BITS)
-    k = (ell - 1) // step - 1 if ell else (_MR_BOUND - 2) // step
-    sieve = [(r, -pow(step, -1, r) % r) for r in _SMALL_ODD_PRIMES if step % r]
-    while k > 0:
-        size = min(k, _SIEVE_BLOCK)  # slot t holds k - t, for t < size
-        alive = bytearray(b"\x01") * size
-        for r, root in sieve:
-            start = (k - root) % r
-            alive[start::r] = bytes(len(range(start, size, r)))
-        for t in compress(range(size), alive):
-            ell = (k - t) * step + 1
-            if pocklington_prime(ell):
-                if not found or ell < found[-1]:  # an interleaved walk may have appended it
-                    found.append(ell)
-                yield ell
-        k -= size
+    for k in range((_MR_BOUND - 2) // step, 0, -_CRT_BLOCK):
+        yield from _crt_prime_block(step, k)
 
 
 def _crt_reconstruct(residue: Callable[[int], int], primes: Iterator[int], limit: int) -> int:
@@ -309,14 +304,13 @@ def integer_det(matrix: Sequence[Sequence[int]], square_bound: int | None = None
         list(map(index, row))  # TypeError on a non-integer entry
     hadamard = prod(sum(map(mul, row, row)) for row in matrix)
     limit = 4 * (hadamard if square_bound is None else square_bound)
-    primes = _crt_primes(1)
-    first = next(primes)
+    first = next(_crt_primes(1))
     steps = [] if first * first <= limit else None
     det = _det_mod(matrix, first, steps)
     divisor = _lifted_divisor(matrix, steps, first, 2 * hadamard) if det and steps is not None else 1
     return divisor * _crt_reconstruct(
         lambda ell: (det if ell == first else _det_mod(matrix, ell)) * pow(divisor, -1, ell) % ell,
-        chain([first], (ell for ell in primes if divisor % ell)),
+        (ell for ell in _crt_primes(1) if divisor % ell),
         limit // divisor**2,
     )
 
@@ -372,12 +366,18 @@ def _relative_norm(f: list, d: int, r: int) -> list:
     return norm[::r]
 
 
-def _unit_values_product(f: list, m: int, primes: list[int], ell: int) -> int:
+@cache
+def _root_of_unity(ell: int, m: int, primes: tuple[int, ...]) -> int:
+    """omega of exact order m mod the prime l = 1 (mod m), m's prime factors ``primes``."""
+    return pow(_least_witness(ell, ell - 1, primes), (ell - 1) // m, ell)
+
+
+def _unit_values_product(f: list, m: int, primes: tuple[int, ...], ell: int) -> int:
     """prod f(zeta_m^j) over j in (Z/m)^*, mod a prime l = 1 (mod m) from ``_crt_primes``.
 
     m is odd, squarefree and at least 3 with prime factors ``primes``, and f
-    is folded mod x^m - 1. omega of exact order m mod l is found on each call
-    (``_least_witness``). The m values f(omega^j) come from one cyclic
+    is folded mod x^m - 1. omega of exact order m mod l is found once per
+    (l, m) (``_root_of_unity``). The m values f(omega^j) come from one cyclic
     correlation (chirp-z, Bluestein 1970), by
     i j = C(i + j, 2) - C(i, 2) - C(j, 2) with C(k, 2) = k (k - 1)/2, which
     needs no square root of omega:
@@ -389,8 +389,7 @@ def _unit_values_product(f: list, m: int, primes: list[int], ell: int) -> int:
     reversed by b, folded mod x^m - 1, read at the units j only. Both chirps
     are read off one table of the powers of omega.
     """
-    g = _least_witness(ell, ell - 1, primes)
-    omega = pow(g, (ell - 1) // m, ell)
+    omega = _root_of_unity(ell, m, primes)
     powers = [1] * m
     for e in range(1, m):
         powers[e] = powers[e - 1] * omega % ell
@@ -469,5 +468,5 @@ def primitive_root_product(d: int, weights: Sequence[int]) -> int:
     m = d // 2 if d % 2 == 0 else d
     if m < d:  # f(-x), at the primitive m-th roots
         f = [-c if i & 1 else c for i, c in enumerate(f)]
-    odd = [r for r, _ in factors if r > 2]
+    odd = tuple(r for r, _ in factors if r > 2)
     return _crt_reconstruct(lambda ell: _unit_values_product(f, m, odd, ell), _crt_primes(d), limit)

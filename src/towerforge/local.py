@@ -273,29 +273,29 @@ def pi_valuation(element: LocalCycloElement) -> int:
 def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
     """Exact division by pi^t for an element of valuation >= t.
 
-    Costs t units of p-adic precision: multiply by the cofactor (p/pi)^t, whose
-    closed form the element's own ring holds (``_LocalRing.cofactor``), then
-    strip the factor p^t from every coefficient. Exactness is read off that
-    product, for 0 < t < N (t >= N is refused first). The power basis is a
-    Z_p-basis of O, so when pi^t | x, x (p/pi)^t = p^t (x/pi^t) lies in p^t O
-    and p^t divides every coefficient. When v = v(x) < t, x (p/pi)^t has
-    valuation e t - (t - v) < e t, so it does not lie in p^t O + p^N O = p^t O
-    and some coefficient is not divisible by p^t. ``pi_valuation`` runs only
-    to word the refusal.
+    Costs c = ceil(t/e) digits; N <= c is refused first. x, lifted to
+    precision N - c + t, is multiplied by its ring's cofactor (p/pi)^t
+    (``_LocalRing.cofactor``) and p^t is stripped from every coefficient.
+    A lift moves x by p^N y, the quotient by p^(N-t) y (p/pi)^t, of valuation
+    e N - t >= e (N - c): it is exact at precision N - c. The power basis is
+    a Z_p-basis of O, so when pi^t | x, x (p/pi)^t = p^t (x/pi^t) lies in
+    p^t O and p^t divides every coefficient. When v = v(x) < t (< e N, as in
+    every lift), x (p/pi)^t has valuation e t - (t - v) < e t and some
+    coefficient is not divisible by p^t. ``pi_valuation`` only words the refusal.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return element
-    if element.precision <= t:
-        raise PrecisionError(f"need precision > {t} to divide by pi^{t}")
-    scaled = element * element._like(element.ring.cofactor) ** t
+    cost = -(-t // element.e)
+    if element.precision <= cost:
+        raise PrecisionError(f"need precision > {cost} to divide by pi^{t}")
+    cofactor = element._like(element.ring.cofactor, element.precision - cost + t) ** t
+    scaled = cofactor._like(_poly_mul(element.coeffs, cofactor.coeffs))
     pt = element.p**t
     if element.is_zero() or any(c % pt for c in scaled.coeffs):
         raise ValueError(f"valuation {pi_valuation(element)} is below {t}; division is not exact")
-    return LocalCycloElement(
-        element.p, element.m, element.precision - t, [c // pt for c in scaled.coeffs]
-    )
+    return element._like([c // pt for c in scaled.coeffs], element.precision - cost)
 
 
 def check_kappa_domain(p: int, m: int, l_max: int) -> None:

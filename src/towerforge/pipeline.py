@@ -17,6 +17,7 @@ from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FactoredInteger, admit_conductor, check_exponent, conductor_label, is_prime_power
+# at module level on purpose: deferring it moves its compile into the first h^- computation
 from .characters import relative_class_number
 from .criteria import Conclusion, CriterionReport, TowerCandidate, verify_candidate
 from .errors import BudgetExceededError, CacheMismatchError, FactorizationError

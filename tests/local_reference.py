@@ -23,22 +23,26 @@ from towerforge.local import (
 
 
 def divide_by_pi(element: LocalCycloElement, t: int = 1) -> LocalCycloElement:
-    """Exact division by pi^t, refused by ``pi_valuation`` when v(x) < t."""
+    """Exact division by pi^t, refused by ``pi_valuation`` when v(x) < t.
+
+    It costs ceil(t/e) digits of precision: the product is formed at
+    precision N - ceil(t/e) + t, and the quotient kept at N - ceil(t/e).
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return element
-    if element.precision <= t:
-        raise PrecisionError(f"need precision > {t} to divide by pi^{t}")
+    cost = (t + element.e - 1) // element.e
+    if element.precision <= cost:
+        raise PrecisionError(f"need precision > {cost} to divide by pi^{t}")
     v = pi_valuation(element)
     if v < t:
         raise ValueError(f"valuation {v} is below {t}; division is not exact")
-    scaled = element * element._like(element.ring.cofactor) ** t
-    pt = element.p**t
-    assert all(c % pt == 0 for c in scaled.coeffs)
-    return LocalCycloElement(
-        element.p, element.m, element.precision - t, [c // pt for c in scaled.coeffs]
-    )
+    p, m, precision = element.p, element.m, element.precision - cost
+    lifted = LocalCycloElement(p, m, precision + t, element.coeffs)
+    scaled = lifted * LocalCycloElement(p, m, precision + t, element.ring.cofactor) ** t
+    assert all(c % p**t == 0 for c in scaled.coeffs)
+    return LocalCycloElement(p, m, precision, [c // p**t for c in scaled.coeffs])
 
 
 def _pth_power_residues(x: LocalCycloElement, level: int):

@@ -24,12 +24,14 @@ from towerforge import arith, cyclotomic
 from towerforge.arith import (
     _MR_BOUND,
     _SMALL_ODD_PRIMES,
+    _least_witness,
     euler_phi,
     factorize,
     is_prime,
     pocklington_prime,
 )
 from towerforge.cyclotomic import (
+    _CRT_BLOCK,
     _crt_primes,
     _det_mod,
     _fold,
@@ -40,6 +42,13 @@ from towerforge.cyclotomic import (
     integer_det,
     primitive_root_product,
 )
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty the prime-block and omega memos, so a test sees the proofs and searches of a fresh process."""
+    for memo in (cyclotomic._crt_prime_block, cyclotomic._root_of_unity):
+        memo.cache_clear()
 
 
 def naive_det(m):
@@ -417,7 +426,7 @@ class TestPrimitiveRootProduct:
         # handed over as f(-x) mod x^m - 1 at the odd m and compared with the
         # dot products on f itself at d, which checks the fold and the sign
         m = d // 2
-        primes = list(factorize(m).primes)
+        primes = factorize(m).primes
         rng = random.Random(d)
         reduced = [rng.randrange(-(10**30), 10**30) for _ in range(euler_phi(d))]
         folded = [rng.randrange(-(10**6), 10**6) for _ in range(d)]
@@ -485,14 +494,14 @@ class TestPrimitiveRootProduct:
         for d in WALK_DS:
             assert all(sympy.isprime(ell) for ell in islice(_crt_primes(d), 40)), d
 
-    def test_sieved_walk_finds_every_prime_in_order(self, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+    def test_sieved_walk_finds_every_prime_in_order(self, cold_memos):
         for d in (1, 2, 6, 10, 14, 42, 210, 682, 2026):
             assert list(islice(_crt_primes(d), 30)) == list(islice(_fresh_crt_primes(d), 30)), d
 
-    def test_one_exponentiation_per_sieve_survivor(self, monkeypatch):
-        # every candidate k L + 1 with no odd prime factor up to 73 is
-        # exponentiated once, with no is_prime call; the rest never are
+    def test_one_exponentiation_per_sieve_survivor(self, monkeypatch, cold_memos):
+        # every candidate k L + 1 with no odd prime factor up to 73, up to the
+        # end of the last block read, is exponentiated once, with no is_prime
+        # call; the rest never are
         moduli = []
 
         def counting_pow(*args):
@@ -506,51 +515,96 @@ class TestPrimitiveRootProduct:
         monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
         for module in (arith, cyclotomic):
             monkeypatch.setattr(module, "is_prime", refuse, raising=False)
-        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
         sieve = prod(_SMALL_ODD_PRIMES)
         for d in (1, 42, 2026, 2310):
             moduli.clear()
             step = lcm(d, 2**41)
             primes = list(islice(_crt_primes(d), 20))
             top, last = (_MR_BOUND - 2) // step, (primes[-1] - 1) // step
-            candidates = (k * step + 1 for k in range(top, last - 1, -1))
+            end = top - ((top - last) // _CRT_BLOCK + 1) * _CRT_BLOCK  # below the last block read
+            candidates = (k * step + 1 for k in range(top, max(end, 0), -1))
             survivors = [ell for ell in candidates if gcd(ell, sieve) == 1]
             assert moduli == survivors, d
             assert len(survivors) > len(primes)
 
-    def test_crt_primes_are_certified_once_per_d(self, monkeypatch):
+    def test_crt_primes_are_certified_once_per_d(self, monkeypatch, cold_memos):
         # 294 = 2 * 3 * 7^2 descends to its radical 42, where the primes are drawn
         calls = []
-        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
         monkeypatch.setattr(
             cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
         )
         weights = list(range(1, 296))
         first = primitive_root_product(294, weights)
-        assert calls
-        assert list(cyclotomic._crt_prime_cache) == [42]
+        assert calls and all((n - 1) % lcm(42, 2**41) == 0 for n in calls)
+        proven = list(calls)
         calls.clear()
         assert primitive_root_product(294, weights) == first
         assert calls == []
-        # a longer walk resumes below the last prime found and matches a fresh search
-        known = list(cyclotomic._crt_prime_cache[42])
+        # a longer walk proves only candidates below every one proven so far
+        # and matches a fresh search
+        known = [ell for ell in proven if pocklington_prime(ell)]
         longer = list(islice(_crt_primes(42), len(known) + 2))
         assert longer[:-2] == known
-        assert calls and max(calls) < known[-1]
+        assert calls and max(calls) < min(proven)
         assert longer == list(islice(_fresh_crt_primes(42), len(longer)))
 
-    def test_interleaved_walks_memoize_each_prime_once(self, monkeypatch):
-        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+    def test_repeated_product_proves_and_searches_nothing(self, monkeypatch):
+        # the second call reads its primes and every omega off the memos
+        weights = list(range(1, 296))
+        first = primitive_root_product(294, weights)
+        calls = []
+        monkeypatch.setattr(
+            cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
+        )
+        monkeypatch.setattr(
+            cyclotomic, "_least_witness", lambda *args: calls.append(args) or _least_witness(*args)
+        )
+        assert primitive_root_product(294, weights) == first
+        assert calls == []
+
+    def test_interleaved_walks_memoize_each_prime_once(self, monkeypatch, cold_memos):
+        calls = []
+        monkeypatch.setattr(
+            cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
+        )
         first, second = _crt_primes(42), _crt_primes(42)
         head = list(islice(first, 3))
         both = list(islice(second, 6)) + list(islice(first, 5))
         expected = list(islice(_fresh_crt_primes(42), 8))
         assert head + both == expected[:3] + expected[:6] + expected[3:8]
-        assert cyclotomic._crt_prime_cache == {42: expected}
+        assert len(calls) == len(set(calls)) and set(expected) <= set(calls)
+        blocks = cyclotomic._crt_prime_block.cache_info()
+        assert blocks.misses == blocks.currsize and blocks.hits
 
-    def test_powers_of_two_finish_without_a_prime(self, monkeypatch):
+    def test_walks_with_one_modulus_share_their_proofs(self, monkeypatch, cold_memos):
+        # lcm(1, 2^41) = lcm(2, 2^41): the walks for d = 1 and d = 2 are one walk
         calls = []
-        monkeypatch.setattr(cyclotomic, "_crt_prime_cache", {})
+        monkeypatch.setattr(
+            cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
+        )
+        even = list(islice(_crt_primes(2), 12))
+        assert calls
+        calls.clear()
+        assert list(islice(_crt_primes(1), 12)) == even
+        assert calls == []
+
+    def test_every_memoized_root_of_unity_has_exact_order_m(self, monkeypatch, cold_memos):
+        seen = []
+        root = cyclotomic._root_of_unity
+        monkeypatch.setattr(
+            cyclotomic, "_root_of_unity", lambda *args: seen.append(args) or root(*args)
+        )
+        rng = random.Random(71)
+        for d in (15, 30, 42, 45, 98, 105, 294, 682):
+            primitive_root_product(d, [rng.randrange(-9, 10) for _ in range(d)])
+        assert root.cache_info().currsize == len(set(seen)) > 0
+        for ell, m, primes in set(seen):
+            omega = root(ell, m, primes)
+            assert pow(omega, m, ell) == 1, (ell, m)
+            assert all(pow(omega, m // r, ell) != 1 for r in factorize(m).primes), (ell, m)
+
+    def test_powers_of_two_finish_without_a_prime(self, monkeypatch, cold_memos):
+        calls = []
         monkeypatch.setattr(
             cyclotomic, "pocklington_prime", lambda n: calls.append(n) or pocklington_prime(n)
         )
@@ -562,7 +616,8 @@ class TestPrimitiveRootProduct:
                 assert primitive_root_product(d, w) == resultant(cyclo_poly(d), w), d
             assert primitive_root_product(d, list(range(1, d + 1))) != 0
         assert calls == []
-        assert cyclotomic._crt_prime_cache == {}
+        for memo in (cyclotomic._crt_prime_block, cyclotomic._root_of_unity):
+            assert memo.cache_info().currsize == 0
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -114,14 +114,24 @@ class TestDivideByPi:
             divide_by_pi(LocalCycloElement(3, 1, 6, [2]), 1)
 
     def test_precision_exhaustion(self):
+        # dividing by pi^t costs ceil(t/e) digits: at e = 2 and N = 2, t = 3 needs two
         pi = LocalCycloElement.pi(3, 1, 2)
-        with pytest.raises(PrecisionError):
-            divide_by_pi(pi * pi, 2)
+        with pytest.raises(PrecisionError, match=r"^need precision > 2 to divide by pi\^3$"):
+            divide_by_pi(pi**3, 3)
+
+    def test_costs_ceil_t_over_e_digits(self):
+        # in Z_3[zeta_9] (e = 6) at N = 4, x = (2 + zeta + zeta^5) pi^3 loses one
+        # digit to pi^3, not three, so kappa gets cap 18 >= l_max + e = 14
+        unit = LocalCycloElement(3, 2, 4, [2, 1, 0, 0, 0, 1])
+        x = unit * LocalCycloElement.pi(3, 2, 4) ** 3
+        assert divide_by_pi(x, 3) == LocalCycloElement(3, 2, 3, unit.coeffs)
+        assert kummer_class(x) == KummerClass(0, local_reference.kappa(divide_by_pi(x, 3), 8))
 
     @pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
     def test_matches_the_valuation_reference_on_a_seeded_grid(self, p, m):
         # x = u pi^k for every k up to e N + 1 (zero from k = e N on) and every
-        # t in -1..N + 1: the same quotient, or the same refusal, word for word
+        # t in -1..e N + 1: the same quotient, or the same refusal, word for
+        # word; a quotient is u pi^(k - t) at precision N - ceil(t/e)
         def outcome(divide, x, t):
             try:
                 return divide(x, t)
@@ -134,9 +144,12 @@ class TestDivideByPi:
             unit = random_unit(rng, p, m, precision)
             for k in range(pi.cap + 2):
                 x = unit * pi**k
-                for t in range(-1, precision + 2):
+                for t in range(-1, pi.cap + 2):
                     expected = outcome(local_reference.divide_by_pi, x, t)
                     assert outcome(divide_by_pi, x, t) == expected, (x, t)
+                    if isinstance(expected, LocalCycloElement) and t > 0:
+                        kept = precision - (t + pi.e - 1) // pi.e
+                        assert expected == LocalCycloElement(p, m, kept, (unit * pi ** (k - t)).coeffs)
 
 
 class TestKappa:
@@ -493,7 +506,7 @@ class TestTBasis:
         x = unit * LocalCycloElement.pi(p, 3, precision) ** v
         assert pi_valuation(unit) == 0
         assert pi_valuation(x) == v
-        assert divide_by_pi(x, v) == LocalCycloElement(p, 3, precision - v, unit.coeffs)
+        assert divide_by_pi(x, v) == LocalCycloElement(p, 3, precision - 1, unit.coeffs)
 
     def test_ring_stores_no_table_for_valuations(self):
         ring = _local_ring(11, 2)
