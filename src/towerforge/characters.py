@@ -73,18 +73,50 @@ recomputed from scratch two independent ways, both in integers only:
   D = diag(q, 2), and the Schur complement gives
   det B = det D * det(F - [a 1] D^-1 [c^T; -1^T])
         = 2q det(F - a c^T/q + 1 1^T/2) = 2q det M / (-2q)^n.
-  Hence h^- = w |det B| / (2q): plain linear algebra, no characters.
+  Hence h^- = w |det B| / (2q): plain linear algebra, no characters. For
+  any integer k x n matrix Q and n x k matrix P the same Schur step, on
+  QMP = -2q (QFP - Qa c^T P/q + Q1 1^T P/2), gives
+  det [[QFP, Qa, Q1], [c^T P, q, 0], [-1^T P, 0, 2]] = 2q det(QMP) / (-2q)^k.
 
-  Bound. Hadamard's inequality |det M|^2 <= prod_i sum_j M_ij^2 gives
-  (det B)^2 <= 4q^2 prod_i sum_j M_ij^2 / (2q)^(2n). ``integer_det`` computes
-  det B by one elimination modulo a certified prime l > 2q, with every row
-  packed into one int. At q = 343 the bound gives |det B| < 2^276, where
-  Hadamard on M alone gives 2^1651, so CRT alone would need 4 primes, not 21.
-  Instead the elimination also solves B x = e_1 l-adically, and the verified
-  solution's denominator D divides det B; here it is nearly all of it (det/D
-  is 1 at 243 and 343, 2 at 256 and 512, and at most 277, at 139, for
-  q <= 200), so only det/D is reconstructed, and one prime does at every
-  q <= 512.
+  Split. M is a group matrix (Maillet's determinant; Carlitz and Olson,
+  Proc. AMS 6, 1955), so it commutes with translation by a unit. Let
+  H = <h> have prime order r in G = (Z/q)^*/+-1 with h^r = 1 (mod q)
+  (``_subgroup``). Write h a_i = s_i a_sigma(i) (mod q), s_i = +-1, and
+  T e_i = s_i e_sigma(i). As g is odd, M_(sigma i, sigma j) = s_i s_j M_ij,
+  that is T^T M T = M, and T is orthogonal, so MT = TM. Each coset of H is
+  an orbit i_t = sigma^t(i_0), t < r, with T^t e_(i_0) = s_t e_(i_t), s_0 = 1
+  (``_cosets``), and T^r = I since h^r = 1. So M maps into itself the
+  lattice of invariant vectors, with basis P_inv the signed coset sums
+  sum_t s_t e_(i_t), and the lattice of v with (I + T + ... + T^(r-1)) v = 0,
+  with basis P_comp the s_t e_(i_t) - e_(i_0), t >= 1. Q_inv takes each
+  coset's first coordinate and Q_comp coordinate i_t times s_t; then QP = I
+  and v = PQv on each lattice, so MP = PA with A = QMP, block by block. The
+  n x n matrix [P_inv P_comp] has determinant +-r^(n/r), so
+  det M = det A_inv det A_comp, and with the Schur step
+  det B_inv det B_comp = 2q det B, h^- = w |det B_inv det B_comp| / (4q^2).
+  The eliminations cost (n/r)^3 + (n - n/r)^3: n^3/4 for r = 2 and n^3/3 for
+  r = 3. If instead h^r = -1, T^r = -I and no nonzero vector is invariant.
+  For odd p the units are cyclic, so +-1 are the only square roots of 1 and
+  r = 2 would give h^2 = -1; odd p takes r = 3, when 3 | phi(q), and p = 2
+  takes r = 2, h = 1 + q/2, at q >= 8. Other conductors (625, and primes
+  p = 2 mod 3 such as 149, 167, 173 and 179) eliminate B whole.
+
+  Bounds. Every row of M has the same sum of squares S (``_bordered_system``),
+  so Hadamard's inequality gives (det M)^2 <= S^n and
+  (det B)^2 <= 4q^2 S^n / (2q)^(2n). A_inv is a signed group matrix of G/H,
+  so one row's sum of squares S' gives (det B_inv)^2 <= 4q^2 S'^(n/r) /
+  (2q)^(2n/r). As |det A_comp| = |det M| / |det A_inv|,
+  (det B_comp)^2 <= 16 q^4 S^n / ((2q)^(2n) (det B_inv)^2), taken in integers
+  once det B_inv is known. At q = 343 these give |det B_inv| < 2^98 and
+  |det B_comp| < 2^214, where Hadamard on the bordered blocks gives 2^372
+  and 2^955. ``integer_det`` computes each block by one elimination
+  modulo a certified prime l > 2q, with every row packed into one int, and
+  the same elimination solves B x = e_1 l-adically; the verified solution's
+  denominator D divides det B and is nearly all of it (det/D is 2 or 343 at
+  343, 4 or 512 at 512), so only det/D is reconstructed. One prime per
+  block does at every q <= 512 except 439-509: the complement blocks at 439,
+  457, 463, 487 and 499, and B whole at 443, 461, 467, 479, 491, 503 and
+  509, draw a second.
 """
 
 from __future__ import annotations
@@ -151,42 +183,119 @@ def hminus_product(p: int, m: int) -> int:
     return _hminus_of_norms(p, m, orbit_norms(p, m))
 
 
-def _bordered_system(q: int) -> tuple[list[list[int]], int]:
-    """B = [[F, a, 1], [c^T, q, 0], [-1^T, 0, 2]] for conductor q, and an integer >= (det B)^2.
+def _subgroup(p: int, q: int) -> tuple[int, int]:
+    """(h, r): h of prime order r in (Z/q)^*/+-1 with h^r = 1 (mod q), r in {2, 3}; (1, 1) if none.
 
-    a is the half-system 1 <= a < q/2 of units, c_j = a_j^-1 mod q and
-    F_ij = floor(a_i c_j / q). det B = 2q det M / (-2q)^n for the half-system
-    matrix M_ij = 2(a_i c_j mod q) - q, and the bound is the ceiling of
-    4q^2 prod_i sum_j M_ij^2 / (2q)^(2n); both are proved in the module
-    docstring.
+    For q = 2^m >= 8, h = 1 + q/2: h^2 = 1 + q + q^2/4 = 1 (mod q). For odd
+    p, r = 3 (module docstring), and an h != 1 with h^3 = 1 exists exactly
+    when 3 | phi(q), since the units are cyclic; it is not -1.
+    """
+    if p == 2 and q >= 8:
+        return q // 2 + 1, 2
+    if (q - q // p) % 3:
+        return 1, 1
+    return next(h for h in range(2, q) if pow(h, 3, q) == 1), 3
 
-    Every row of M has the same sum of squares S = sum_{a in half} (2a - q)^2,
-    so the product is S^n. Proof: the c_j are one unit from each pair {c, -c}
-    (inversion commutes with negation), and multiplying by a_i permutes those
-    pairs, so the a_i c_j are again one unit from each pair; and
-    (2R(x) - q)^2, R(x) = x mod q, is unchanged under x -> -x, since
-    R(-x) = q - R(x). So row i sums (2R(x) - q)^2 over one x from each pair,
-    as the half-system itself does.
+
+def _cosets(q: int, h: int, r: int) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+    """The half-system a (units 1 <= a < q/2), c_j = a_j^-1 mod q, and the cosets of <h>.
+
+    Each coset is [(i_t, s_t) for t < r] with h^t a_(i_0) = s_t a_(i_t) (mod q),
+    s_0 = 1 and a_(i_0) the least a in no earlier coset, so the first coset
+    starts at a = 1; h = r = 1 gives the singletons.
     """
     half = [a for a in range(1, (q + 1) // 2) if gcd(a, q) == 1]
-    inverses = [pow(a, -1, q) for a in half]
+    position = {a: i for i, a in enumerate(half)}
+    cosets = []
+    for a in half:
+        if a in position:
+            orbit = [a * pow(h, t, q) % q for t in range(r)]
+            cosets.append([(position.pop(x), 1) if 2 * x < q else (position.pop(q - x), -1) for x in orbit])
+    return half, [pow(a, -1, q) for a in half], cosets
+
+
+def _bordered(q: int, half: list[int], inverses: list[int], rows: list, columns: list) -> list[list[int]]:
+    """[[QFP, Qa, Q1], [c^T P, q, 0], [-1^T P, 0, 2]], of determinant 2q det(QMP) / (-2q)^k.
+
+    Row u of Q is s e_i^T for rows[u] = (i, s), column v of P is the sum of
+    t e_j over (j, t) in columns[v], all columns of one length L, and
+    k = len(rows) = len(columns). Entry (u, v) of QFP is the sum over the L
+    slots l of s t floor(a_i c_j / q), (j, t) = columns[v][l].
+    """
+    slots = [[(inverses[j], t) for j, t in slot] for slot in zip(*columns)]
+
+    def lift(parts: list[list[int]]) -> list[int]:  # the L slots' rows, added
+        return list(map(sum, zip(*parts))) if len(parts) > 1 else parts[0]
+
+    matrix = [
+        lift([[s * t * (half[i] * c // q) for c, t in slot] for slot in slots]) + [s * half[i], s]
+        for i, s in rows
+    ]
+    matrix.append(lift([[t * c for c, t in slot] for slot in slots]) + [q, 0])
+    matrix.append(lift([[-t for _, t in slot] for slot in slots]) + [0, 2])
+    return matrix
+
+
+def _bordered_system(q: int, h: int = 1, r: int = 1) -> tuple[list[list[int]], int]:
+    """B_inv for H = <h> of order r, and an integer >= (det B_inv)^2; B itself for trivial H.
+
+    Q takes each coset's first coordinate and P's columns are the signed coset
+    sums of ``_cosets``: B_inv = [[QFP, Qa, Q1], [c^T P, q, 0],
+    [-1^T P, 0, 2]] (``_bordered``). For trivial H, Q = P = I and
+    B = [[F, a, 1], [c^T, q, 0], [-1^T, 0, 2]]: a is the half-system
+    1 <= a < q/2 of units, c_j = a_j^-1 mod q and F_ij = floor(a_i c_j / q).
+    det B_inv = 2q det A_inv / (-2q)^k for A_inv = QMP, k = n/r, and the
+    half-system matrix M_ij = 2(a_i c_j mod q) - q, and the bound is the
+    ceiling of 4q^2 S'^k / (2q)^(2k), S' the sum of squares of row a = 1 of
+    A_inv; both are proved in the module docstring.
+
+    Every row of A_inv has the same sum of squares S', so Hadamard's
+    inequality gives (det A_inv)^2 <= S'^k. Proof: let g(x) = 2R(x) - q,
+    R(x) = x mod q, and G(x) = sum_(t < r) g(h^t x). Column v of P is
+    sum_t s_t e_(i_t) with a_(i_t) = s_t h^t a_v, so c_(i_t) = s_t h^-t c_v
+    and entry (u, v) of A_inv is sum_t s_t g(s_t h^-t a_u c_v) = G(a_u c_v),
+    as g is odd and h^r = 1. G is odd and constant on cosets of H, so G^2 is
+    constant on the cosets of +-H. The a_v are one unit from each coset of
+    +-H, and so are the c_v (inversion maps cosets to cosets) and the a_u c_v
+    for each u (multiplying by a_u permutes them): every row sums G^2 over one
+    unit from each coset of +-H. For trivial H, G = g, each c_v is one of a
+    pair {c, -c} with g(c)^2 = g(-c)^2, and S' is S = sum_(a in half) (2a - q)^2.
+    """
+    half, inverses, cosets = _cosets(q, h, r)
+    k = len(cosets)
+    row = sum(sum(t * (2 * inverses[j] - q) for j, t in coset) ** 2 for coset in cosets)  # a = 1
+    matrix = _bordered(q, half, inverses, [coset[0] for coset in cosets], cosets)
+    return matrix, -(-4 * q * q * row**k // (2 * q) ** (2 * k))
+
+
+def _complement_system(q: int, h: int, r: int, det: int) -> tuple[list[list[int]], int]:
+    """B_comp for H = <h> of order r > 1, and an integer >= (det B_comp)^2, given det = det B_inv != 0.
+
+    Q takes coordinate i_t times s_t, and P's columns are s_t e_(i_t) - e_(i_0),
+    for t >= 1 in each coset of ``_cosets``. As det B_inv det B_comp = 2q det B
+    and (det B)^2 <= 4q^2 S^n / (2q)^(2n) (module docstring), the bound is the
+    ceiling of 16 q^4 S^n / ((2q)^(2n) det^2).
+    """
+    half, inverses, cosets = _cosets(q, h, r)
+    rows = [x for coset in cosets for x in coset[1:]]
+    columns = [[x, (coset[0][0], -1)] for coset in cosets for x in coset[1:]]
     n = len(half)
-    bordered = [[a * c // q for c in inverses] + [a, 1] for a in half]
-    bordered.append(inverses + [q, 0])
-    bordered.append([-1] * n + [0, 2])
-    hadamard = sum((2 * a - q) ** 2 for a in half) ** n
-    return bordered, -(-4 * q * q * hadamard // (2 * q) ** (2 * n))
+    hadamard = 16 * q**4 * sum((2 * a - q) ** 2 for a in half) ** n
+    return _bordered(q, half, inverses, rows, columns), -(-hadamard // ((2 * q) ** (2 * n) * det * det))
 
 
 def hminus_determinant(p: int, m: int, *, bound: int = 512) -> int:
-    """h^-(conductor p^m) by the half-system determinant; the character-free oracle."""
+    """h^-(conductor p^m) by the half-system determinant, in blocks; the character-free oracle."""
     try:
         q = admit_conductor(p, m, bound)
     except BudgetExceededError:
         over = f"determinant oracle bound {bound} exceeded by conductor {conductor_label(p, m)}"
         raise BudgetExceededError(over) from None
-    det = integer_det(*_bordered_system(q))
-    return _positive_quotient(q, abs(det), 2 * q, "determinant")
+    h, r = _subgroup(p, q)
+    det, denominator = integer_det(*_bordered_system(q, h, r)), 2 * q
+    if r > 1 and det:  # det B_inv det B_comp = 2q det B; a zero det is refused below
+        det, denominator = det * integer_det(*_complement_system(q, h, r, det)), 4 * q * q
+    return _positive_quotient(q, abs(det), denominator, "determinant")
 
 
 def relative_class_number(p: int, m: int) -> FactoredInteger:

@@ -181,10 +181,10 @@ def _det_mod(matrix: Sequence[Sequence[int]], ell: int, steps: list | None = Non
         scale = ell - pow(pivot, -1, ell)
         tail = range(width, len(data), width)
         packed = _pack((int.from_bytes(data[j : j + width], "little") * scale % ell for j in tail), width)
+        factors = [(r & mask) % ell for r in rows[k + 1 :]]
         if steps is not None:
-            factors = _pack(((r & mask) % ell for r in rows[k + 1 :]), width)
-            steps.append((pivot_index - k, ell - scale, factors, packed))
-        rows[k + 1 :] = [(r >> shift) + (r & mask) % ell * packed for r in rows[k + 1 :]]
+            steps.append((pivot_index - k, ell - scale, _pack(factors, width), packed))
+        rows[k + 1 :] = [(r >> shift) + f * packed for r, f in zip(rows[k + 1 :], factors)]
     return det % ell
 
 
@@ -233,8 +233,8 @@ def _lifted_divisor(matrix: Sequence[Sequence[int]], steps: list, ell: int, cap:
     width = _slot_bytes(ell, n)
     shift = 8 * width
     mask = (1 << shift) - 1
-    # cols[j] gathers column j of the P_k, slot k for k < j; each P_k is
-    # dropped from ``steps`` once appended
+    # cols[j] gathers column j of the P_k, slot k for k < j, then becomes
+    # one int; each P_k is dropped from ``steps`` once appended
     cols = [bytearray() for _ in range(n)]
     for k in range(n):
         j, inverse, factors, packed = steps[k]
@@ -242,6 +242,8 @@ def _lifted_divisor(matrix: Sequence[Sequence[int]], steps: list, ell: int, cap:
         data = packed.to_bytes(width * (n - k - 1), "little")
         for column, start in zip(cols[k + 1 :], range(0, len(data), width)):
             column += data[start : start + width]
+    for j, column in enumerate(cols):
+        cols[j] = int.from_bytes(column, "little")
     residual = [1] + [0] * (n - 1)
     lifted = [0] * n
     modulus = 1
@@ -257,7 +259,7 @@ def _lifted_divisor(matrix: Sequence[Sequence[int]], steps: list, ell: int, cap:
         x, sums = [0] * n, 0  # slot i of sums: P_i . (x_(k+1), ..., x_(n-1))
         for k in range(n - 1, -1, -1):
             x[k] = (z[k] + (sums >> shift * k & mask)) % ell
-            sums += x[k] * int.from_bytes(cols[k], "little")
+            sums += x[k] * cols[k]
         residual = [(r - sum(map(mul, row, x))) // ell for r, row in zip(residual, matrix)]
         lifted = [v + modulus * c for v, c in zip(lifted, x)]
         modulus *= ell

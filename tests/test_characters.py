@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from pathlib import Path
 
@@ -17,8 +18,11 @@ from towerforge import arith, cyclotomic
 from towerforge.arith import FactoredInteger, euler_phi, factorize, is_prime
 from towerforge.characters import (
     _bordered_system,
+    _complement_system,
+    _cosets,
     _orbit_vector,
     _positive_quotient,
+    _subgroup,
     hminus_determinant,
     hminus_product,
     orbit_norms,
@@ -345,6 +349,92 @@ class TestBorderedIdentity:
         assert seen == [next(cyclotomic._crt_primes(1))], q
         w = q if q % 2 == 0 else 2 * q
         assert w * abs(det_b) == 2 * q * hminus_product(p, m), q
+
+
+CONDUCTORS_TO_512 = [(p, m) for p in range(2, 513) if is_prime(p) for m in range(1, 10) if 3 <= p**m <= 512]
+SPLIT_CONDUCTORS = [(p, m) for p, m in CONDUCTORS_TO_512 if _subgroup(p, p**m)[1] > 1]
+
+
+def matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, column)) for column in zip(*y)] for row in x]
+
+
+@cache
+def split_determinants(q, h, r):
+    """(det B, det B_inv, its bound, det B_comp, its bound) for H = <h> of order r, as the oracle runs."""
+    invariant, bound_inv = _bordered_system(q, h, r)
+    det_inv = integer_det(invariant, bound_inv)
+    complement, bound_comp = _complement_system(q, h, r, det_inv)
+    det_comp = integer_det(complement, bound_comp)
+    return integer_det(*_bordered_system(q)), det_inv, bound_inv, det_comp, bound_comp
+
+
+class TestSplitOracle:
+    """B splits along H = <h> of order 2 or 3 into an invariant and a complement block."""
+
+    def test_subgroup_of_order_2_or_3(self):
+        assert len(CONDUCTORS_TO_512) == 116 and len(SPLIT_CONDUCTORS) == 60
+        for p, m in CONDUCTORS_TO_512:
+            q = p**m
+            h, r = _subgroup(p, q)
+            if r == 1:  # no x other than +-1 has x^2 = 1 or x^3 = 1, so none has x^6 = 1
+                assert h == 1 and all(x in (1, q - 1) for x in range(1, q) if pow(x, 6, q) == 1), q
+            else:
+                assert r == (2 if p == 2 else 3) and pow(h, r, q) == 1 and h not in (1, q - 1), q
+
+    @pytest.mark.parametrize("q", [8, 9, 16, 27, 31, 37, 64])
+    def test_the_change_of_basis_block_diagonalizes_m(self, q):
+        # M P = P A for P = [P_inv P_comp] and A = diag(A_inv, A_comp), each
+        # block A = QMP with QP = I, and det B_block = 2q det A / (-2q)^k
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        h, r = _subgroup(p, q)
+        half, matrix = half_system_matrix(q)
+        _, _, cosets = _cosets(q, h, r)
+        n = len(half)
+        basis, blocks = [[] for _ in range(n)], []
+        for rows, columns, system in (
+            ([c[0] for c in cosets], cosets, _bordered_system(q, h, r)[0]),
+            (
+                [x for c in cosets for x in c[1:]],
+                [[x, (c[0][0], -1)] for c in cosets for x in c[1:]],
+                _complement_system(q, h, r, 1)[0],
+            ),
+        ):
+            k = len(rows)
+            lift = [[sum(t for j, t in column if j == i) for column in columns] for i in range(n)]  # P
+            restrict = [[s * (i == j) for j in range(n)] for i, s in rows]  # Q
+            assert matmul(restrict, lift) == [[int(u == v) for v in range(k)] for u in range(k)], q
+            block = matmul(restrict, matmul(matrix, lift))
+            assert bareiss_det(system) * (-2 * q) ** k == 2 * q * bareiss_det(block), q
+            blocks = [row + [0] * k for row in blocks] + [[0] * len(blocks) + row for row in block]
+            basis = [x + y for x, y in zip(basis, lift)]
+        assert matmul(matrix, basis) == matmul(basis, blocks), q
+        assert bareiss_det(blocks) == bareiss_det(matrix) != 0, q
+
+    def test_block_identity_at_every_split_conductor_up_to_512(self):
+        for p, m in SPLIT_CONDUCTORS:
+            q = p**m
+            det_b, det_inv, _, det_comp, _ = split_determinants(q, *_subgroup(p, q))
+            assert det_inv * det_comp == 2 * q * det_b, q
+
+    def test_each_block_bound_holds_up_to_512(self):
+        # the block dets taken under these bounds satisfy the identity above
+        for p, m in SPLIT_CONDUCTORS:
+            q = p**m
+            _, det_inv, bound_inv, det_comp, bound_comp = split_determinants(q, *_subgroup(p, q))
+            assert det_inv * det_inv <= bound_inv and det_comp * det_comp <= bound_comp, q
+
+    @pytest.mark.parametrize(
+        "p, m, calls",
+        [(5, 1, 1), (17, 1, 1), (23, 1, 1), (47, 1, 1), (149, 1, 1), (179, 1, 1), (5, 4, 1)]
+        + [(2, 9, 2), (3, 5, 2), (7, 3, 2)],
+    )
+    def test_integer_det_calls_per_oracle_run(self, p, m, calls, monkeypatch):
+        # one call where (Z/q)^*/+-1 has no such subgroup, one per block otherwise
+        seen = []
+        monkeypatch.setattr("towerforge.characters.integer_det", lambda *a: seen.append(a) or integer_det(*a))
+        assert hminus_determinant(p, m, bound=625) == hminus_product(p, m)
+        assert len(seen) == calls, (p, m)
 
 
 class TestOrbitGroupingInvariance:
